@@ -245,7 +245,7 @@ func run(w io.Writer, cfg benchConfig) error {
 			return err
 		}
 		rep.Skew = rows
-		fmt.Fprintln(text, "Scheduler scaling on skewed workloads (v2 cost model + work stealing vs static plan)")
+		fmt.Fprintln(text, "Scheduler scaling on skewed workloads (EWMA cost model + work stealing vs static plan)")
 		fmt.Fprint(text, bench.FormatSkew(rows))
 	}
 	if cfg.ablate {

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"rms/internal/core"
+	"rms/internal/estimator"
+	"rms/internal/ode"
 	"rms/internal/opt"
 	"rms/internal/parallel"
 	"rms/internal/vulcan"
@@ -78,6 +80,50 @@ func TestTable2SmallRun(t *testing.T) {
 	out := FormatTable2(rows)
 	if !strings.Contains(out, "paper (IBM SP, 16 files)") {
 		t.Errorf("FormatTable2 missing paper block:\n%s", out)
+	}
+}
+
+// TestTable2ModeledOpsPinned pins Table 2's deterministic modeled work —
+// the static (Fig. 9 blocks) and load-balanced (LPT) rows at 1/2/4/16
+// ranks over 3 objective calls — to the values the estimator produced
+// before both rows ran on the scheduler path. The figures are exact
+// float64 op counts: any change to the initial plan, the re-plan order
+// or the per-rank sum order moves them.
+func TestTable2ModeledOpsPinned(t *testing.T) {
+	want := map[bool]map[int]float64{
+		false: {1: 2.123454120000001e+08, 2: 1.1059566800000003e+08, 4: 5.5400552000000015e+07, 16: 1.4709708e+07},
+		true:  {1: 2.1234541200000012e+08, 2: 1.0777909866666672e+08, 4: 5.399170133333336e+07, 16: 1.4709708e+07},
+	}
+	net, err := vulcan.Network(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.CompileNetwork(net, core.Config{Optimize: opt.Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := vulcan.RateVector(res.System.Rates, vulcan.TrueRates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := res.Model(vulcan.CrosslinkProperty(res.System), ode.Options{RTol: 1e-7, ATol: 1e-10})
+	files := syntheticFiles(16, 60)
+	for _, lb := range []bool{false, true} {
+		for _, ranks := range []int{1, 2, 4, 16} {
+			est, err := estimator.New(model, files, estimator.Config{Ranks: ranks, LoadBalance: lb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := make([]float64, est.ResidualDim())
+			for call := 0; call < 3; call++ {
+				if err := est.Objective(k, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := est.ModeledOps(); got != want[lb][ranks] {
+				t.Errorf("lb=%v ranks=%d: modeled ops %v, pinned %v", lb, ranks, got, want[lb][ranks])
+			}
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
-// Skewed-workload scaling study for the v2 scheduler (rmsbench -skew):
+// Skewed-workload scaling study for the scheduler (rmsbench -skew):
 // deliberately pathological per-file cost distributions — one heavy file
 // among light ones, and Zipf-distributed costs decoupled from record
 // counts — run under three scheduling policies on identical data. The
 // static policy plans once from the a-priori record counts (all the
 // paper's balancer knows before the first call) and is exactly what
-// saturates on these workloads; the lpt policy is the v1 per-call
-// rebalance on raw measured cost; the sched policy is the full v2 loop
+// saturates on these workloads; the lpt policy is the paper's per-call
+// rebalance on raw measured cost; the sched policy is the full loop
 // (EWMA cost model + re-planning + work-stealing lanes). Everything is
 // measured in deterministic modeled op units (counted solver work,
 // critical path over ranks under the virtual-clock replay), so rows are
@@ -224,7 +224,7 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 		// forces it off for static/lpt): a file predicted above 30% of
 		// total cost is carved into record sub-ranges.
 		return &sched.Config{
-			Rebalance: true, Policy: p, Alpha: 0.5,
+			Policy: p, Alpha: 0.5,
 			SplitShare: 0.3, MaxParts: 2,
 			Lanes: cfg.Lanes, Steal: true,
 		}

@@ -34,8 +34,10 @@ var logger atomic.Pointer[telemetry.Logger]
 func SetLogger(l *telemetry.Logger) { logger.Store(l) }
 
 // Version is the envelope format version. Load rejects files written by
-// a different version rather than guessing at field semantics.
-const Version = 1
+// a different version rather than guessing at field semantics. Version 2
+// dropped the estimator's per-rank file assignment: the scheduler's
+// cost model, plans and policy are always present instead.
+const Version = 2
 
 // ErrCorrupt marks a checkpoint whose payload bytes do not hash to the
 // recorded digest. Errors from Load wrap it; callers distinguishing

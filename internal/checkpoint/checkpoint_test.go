@@ -2,7 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,12 +96,35 @@ func TestLoadRejectsWrongKindAndVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
+	mut := strings.Replace(string(data), fmt.Sprintf(`"version":%d`, Version), `"version":99`, 1)
 	if err := os.WriteFile(path, []byte(mut), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := Load(path, "demo", &out); err == nil {
 		t.Error("wrong version accepted")
+	}
+}
+
+// A version-1 run checkpoint — the format that carried the estimator's
+// per-rank file assignment — is well-formed and correctly hashed, but
+// this build must refuse it with the version error rather than resume
+// from a state it no longer has fields for.
+func TestLoadRejectsVersion1Envelope(t *testing.T) {
+	payload := `{"opt":{"x":[1],"lambda":0.001,"iter":2},` +
+		`"est":{"calls":4,"wall_seconds":0.5,"model_ops":1000,"last_times":[10,20],` +
+		`"assignment":[[0],[1]],"sched_stats":{"Steals":0,"Splits":0,"Replans":0},` +
+		`"recovery":{},"degrade":{}}}`
+	sum := sha256.Sum256([]byte(payload))
+	env := fmt.Sprintf(`{"version":1,"kind":%q,"sha256":%q,"payload":%s}`,
+		RunKind, hex.EncodeToString(sum[:]), payload)
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, []byte(env), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadRun(path)
+	want := fmt.Sprintf("checkpoint: version 1, this build reads %d", Version)
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("LoadRun(v1) err = %v, want %q", err, want)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // (shared tape, forked symbolic LU) and the JSON float64 wire encoding
 // are both exactness-preserving by design, so any divergence at all is
 // a service-layer bug altering numerics. The fit comparison covers the
-// serial, batched-SoA and v2-scheduler (ewma) estimator paths.
+// serial, batched-SoA and scheduler (ewma) estimator configurations.
 func stageService(cs *Case, rec *Recorder, _ float64) error {
 	spec := service.ModelSpec{Kind: service.KindNet, Source: network.FormatText(cs.Net)}
 	eng := service.NewEngine(nil, nil)
@@ -116,8 +116,7 @@ func stageService(cs *Case, rec *Recorder, _ float64) error {
 		{
 			name: "sched-ewma", files: skewedFiles,
 			ecfg: estimator.Config{Ranks: 3, Sched: &sched.Config{
-				Rebalance: true, Alpha: 0.5,
-				SplitShare: 0.25, MaxParts: 3,
+				Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
 				Lanes: 2, Steal: true,
 			}},
 			req: service.FitRequest{Ranks: 3, Sched: &service.SchedSpec{

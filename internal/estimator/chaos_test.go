@@ -68,12 +68,13 @@ func TestChaosAllLaddersFire(t *testing.T) {
 		t.Errorf("BatchSerial = %d, want 1", got)
 	}
 
-	// Ladder 3: sched ewma → static LPT, via heavy lane-cost jitter the
-	// EWMA cost model cannot track.
+	// Ladder 3: sched ewma → lpt, via heavy item-cost jitter the
+	// EWMA cost model cannot track (seed 2: see
+	// TestSchedDemotesEwmaToLPTUnderJitter).
 	e, err = New(decayModel(t), makeFiles(1.0, []int{30, 20, 25, 35}), Config{
 		Ranks:   2,
-		Sched:   &sched.Config{Rebalance: true, Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
-		Faults:  faults.NewPlan(7).SlowLaneJitter(1.0, 64),
+		Sched:   &sched.Config{Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
+		Faults:  faults.NewPlan(2).SlowLaneJitter(1.0, 64),
 		Metrics: reg,
 	})
 	if err != nil {

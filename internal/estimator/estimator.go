@@ -9,14 +9,15 @@
 // assigned data files, accumulates the per-timestep differences between
 // simulated and measured property values into a local error vector, and
 // two AllReduce operations combine the global error vector and the
-// per-file solve times. Between objective calls the dynamic load
-// balancing algorithm reassigns files: solve times are ordered
-// non-increasing (a priority queue) and each file goes to the rank with
-// the least total allocated time so far (LPT scheduling), so the next
-// call sees balanced work.
+// per-file solve times. Between objective calls a scheduling policy
+// (package sched) may reassign files: under the paper's dynamic load
+// balancing algorithm solve times are ordered non-increasing (a priority
+// queue) and each file goes to the rank with the least total allocated
+// time so far (LPT scheduling), so the next call sees balanced work.
 package estimator
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -70,13 +71,18 @@ type Model struct {
 type Config struct {
 	// Ranks is the number of simulated MPI processes (nodes in Table 2).
 	Ranks int
-	// LoadBalance enables the dynamic load balancing algorithm.
+	// LoadBalance selects the scheduling policy when Sched is nil: the
+	// paper's dynamic load balancing algorithm (sched.PolicyLPT) instead
+	// of its static distribution (sched.PolicyStatic). Both start from
+	// Fig. 9's contiguous block plan and run one lane per rank. Setting
+	// it together with Sched is an error.
 	LoadBalance bool
 	// Workers > 1 gives each rank a worker pool of that width for
 	// levelized parallel tape evaluation (see codegen.SetParallel) — the
 	// intra-rank parallelism to use when ranks < cores. Large systems'
 	// RHS and Jacobian tapes then fan out across the pool; results stay
-	// bit-identical to serial evaluation.
+	// bit-identical to serial evaluation. Lanes are the other intra-rank
+	// parallelism, so Workers > 1 with Sched.Lanes > 1 is an error.
 	Workers int
 	// Batch solves each rank's assigned data files as ONE lockstep batched
 	// BDF integration (ode.BatchBDF over codegen.BatchEvaluator): every
@@ -88,26 +94,25 @@ type Config struct {
 	// integration tolerance — the lockstep step control max-reduces error
 	// norms across a rank's files, so the step sequences differ.
 	//
-	// Batch composes with fault injection through the batch→serial
-	// degradation ladder: a failed (or fault-injected) batched solve is
-	// discarded whole — its contributions were staged in a private buffer
-	// — and every lane re-solves on the serial per-file path, counted in
-	// degrade.batch_serial. The flag is still ignored under FaultTolerant
-	// (the retry/penalty machinery needs per-file isolation).
+	// Batch is the rank's item executor, so it needs whole-file items run
+	// in plan order: one lane, no stealing, no splitting. It composes with
+	// fault injection through the batch→serial degradation ladder: a
+	// failed (or fault-injected) batched solve is discarded whole — its
+	// contributions were staged in a private buffer — and every lane
+	// re-solves on the serial per-file path, counted in
+	// degrade.batch_serial. Batch with FaultTolerant, or with a Sched of
+	// several lanes, stealing or splitting, is an error.
 	Batch bool
-	// Sched, when non-nil with Rebalance set, replaces the per-call LPT
-	// reassignment with the v2 scheduler (package sched, see
-	// docs/load-balancing.md): a persistent per-file EWMA cost model
-	// seeded from record counts, cost-model-driven re-planning between
-	// objective calls, optional dominant-file splitting into record
-	// sub-ranges, and optional intra-rank work stealing between lanes.
-	// Residual accumulation on this path is order-independent (per-file
-	// contribution buffers folded in ascending file order), so fits stay
-	// bit-identical to the serial path for any plan, lane count or steal
-	// schedule. Nil — or Rebalance false — keeps the v1 behavior exactly;
-	// LoadBalance and Batch are ignored while the v2 scheduler is active
-	// (it owns the schedule), and Workers pools attach only when
-	// Sched.Lanes == 1 (lanes are already the intra-rank parallelism).
+	// Sched, when non-nil, configures the scheduler (package sched, see
+	// docs/load-balancing.md): its policy (static, lpt or the default
+	// ewma — a persistent per-file EWMA cost model seeded from record
+	// counts), optional dominant-file splitting into record sub-ranges,
+	// and optional intra-rank work stealing between lanes. Its first call
+	// runs LPT over record counts. Nil resolves to one lane under the
+	// policy LoadBalance selects. Residual accumulation is
+	// order-independent (per-file contribution buffers folded in
+	// ascending file order), so fits are bit-identical to the serial path
+	// for any policy, plan, rank count, lane count or steal schedule.
 	Sched *sched.Config
 	// FaultTolerant enables graceful degradation (docs/fault-tolerance.md):
 	// failed file solves are retried per Retry and then penalized instead
@@ -245,18 +250,16 @@ type Estimator struct {
 	files []*dataset.File
 	cfg   Config
 
-	// assignment[r] lists the file indices rank r solves next call.
-	assignment [][]int
-	// lastTimes[i] is the most recent solve time of file i, seconds.
+	// lastTimes[i] is the most recent solve cost of file i, op units.
 	lastTimes []float64
 	// pools[r] is rank r's worker pool for intra-rank parallel tape
 	// evaluation (nil without cfg.Workers).
 	pools []*parallel.Pool
 
-	// v2 scheduler state (all zero without cfg.Sched.Rebalance):
-	// schedCfg is cfg.Sched with defaults resolved, cost the persistent
-	// per-file EWMA model, plans the per-rank item plans for the next
-	// call, nrecs the per-file record counts (split bounds + model seed).
+	// Scheduler state: schedCfg is the resolved scheduler config, cost the
+	// persistent per-file EWMA model, plans the per-rank item plans for
+	// the next call, nrecs the per-file record counts (split bounds +
+	// model seed).
 	schedCfg   sched.Config
 	cost       *sched.CostModel
 	plans      [][]sched.Item
@@ -297,6 +300,46 @@ type Estimator struct {
 	opsPerEval float64
 }
 
+// ErrConflict marks a Config whose flags cannot all take effect; New
+// wraps it with the conflicting pair.
+var ErrConflict = errors.New("estimator: conflicting config")
+
+// resolveSched maps a Config onto its scheduler config and rejects flag
+// combinations that cannot compose.
+func resolveSched(cfg Config) (sched.Config, error) {
+	if cfg.LoadBalance && cfg.Sched != nil {
+		return sched.Config{}, fmt.Errorf("%w: LoadBalance with Sched (Sched.Policy selects the balancer)", ErrConflict)
+	}
+	sc := sched.Config{Policy: sched.PolicyStatic}
+	if cfg.LoadBalance {
+		sc.Policy = sched.PolicyLPT
+	}
+	if cfg.Sched != nil {
+		sc = *cfg.Sched
+	}
+	sc = sc.WithDefaults()
+	if cfg.Workers > 1 && sc.Lanes > 1 {
+		return sc, fmt.Errorf("%w: Workers %d with Sched.Lanes %d (one intra-rank parallelism at a time)",
+			ErrConflict, cfg.Workers, sc.Lanes)
+	}
+	if cfg.Batch {
+		if cfg.FaultTolerant {
+			return sc, fmt.Errorf("%w: Batch with FaultTolerant (retries and penalties need per-file solves)", ErrConflict)
+		}
+		if sc.Lanes > 1 || sc.Steal || sc.SplitShare > 0 {
+			return sc, fmt.Errorf("%w: Batch with Sched lanes %d, steal %v, split share %g (a batch runs whole files on one lane)",
+				ErrConflict, sc.Lanes, sc.Steal, sc.SplitShare)
+		}
+	}
+	if cfg.FaultTolerant || cfg.Faults != nil {
+		// The retry/penalty machinery operates on whole files (one
+		// scratch fold or penalty per file); record sub-ranges would
+		// double-penalize, so splits are file-granularity here.
+		sc.SplitShare = 0
+	}
+	return sc, nil
+}
+
 // New builds an estimator over the given data files.
 func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 	if cfg.Ranks <= 0 {
@@ -312,37 +355,37 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 		return nil, fmt.Errorf("estimator: Y0 length %d, program expects %d",
 			len(model.Y0), model.Prog.NumY)
 	}
+	sc, err := resolveSched(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &Estimator{
 		model:     model,
 		files:     files,
 		cfg:       cfg,
 		retry:     cfg.Retry.withDefaults(),
 		lastTimes: make([]float64, len(files)),
+		schedCfg:  sc,
+		nrecs:     make([]int, len(files)),
 	}
-	e.assignment = blockAssign(len(files), cfg.Ranks)
 	e.met = newEstMetrics(cfg.Metrics) // nil registry → all-no-op handles
 	e.lane = cfg.Trace.Lane("estimator")
 	e.log = cfg.Log.Scope("estimator")
 	e.mpiLog = cfg.Log.Scope("mpi")
-	if cfg.Sched != nil && cfg.Sched.Rebalance {
-		sc := cfg.Sched.WithDefaults()
-		if cfg.FaultTolerant || cfg.Faults != nil {
-			// The retry/penalty machinery operates on whole files (one
-			// scratch fold or penalty per file); record sub-ranges would
-			// double-penalize, so splits are file-granularity here.
-			sc.SplitShare = 0
-		}
-		e.schedCfg = sc
-		e.nrecs = make([]int, len(files))
-		seed := make([]float64, len(files))
-		for i, f := range files {
-			e.nrecs[i] = f.NumRecords()
-			seed[i] = float64(e.nrecs[i])
-		}
-		e.cost = sched.NewCostModel(len(files), sc.Alpha)
-		e.cost.Seed(seed)
-		// Iteration-0 plan: LPT over the static a-priori estimate, the
-		// only cost signal that exists before the first call.
+	seed := make([]float64, len(files))
+	for i, f := range files {
+		e.nrecs[i] = f.NumRecords()
+		seed[i] = float64(e.nrecs[i])
+	}
+	e.cost = sched.NewCostModel(len(files), sc.Alpha)
+	e.cost.Seed(seed)
+	// The initial plan is the one constructor-time difference between
+	// the paper's configurations and an explicit Sched: Fig. 9's
+	// contiguous blocks, or LPT over the static a-priori estimate (the
+	// only cost signal that exists before the first call).
+	if cfg.Sched == nil {
+		e.plans = sched.Block(e.nrecs, cfg.Ranks)
+	} else {
 		var splits int
 		e.plans, splits = sched.Plan(seed, e.nrecs, cfg.Ranks, sc)
 		e.schedStats.Splits += splits
@@ -469,25 +512,17 @@ func (e *Estimator) FileTimes() []float64 {
 	return append([]float64(nil), e.lastTimes...)
 }
 
-// Assignment returns the current per-rank file assignment.
-func (e *Estimator) Assignment() [][]int {
-	out := make([][]int, len(e.assignment))
-	for r := range e.assignment {
-		out[r] = append([]int(nil), e.assignment[r]...)
-	}
-	return out
-}
-
 // Objective evaluates the global error vector for one set of rate
 // constants, in parallel over the configured ranks. residual must have
 // length ResidualDim.
 //
 // Under Config.FaultTolerant, solver breakdowns degrade gracefully (a
 // retry/penalty policy per file, see RetryPolicy) and rank failures are
-// recovered ULFM-style: the dead ranks' files are reassigned to the
-// survivors via AssignLPT and the call re-runs on the shrunk
-// communicator. Recovery is per call — the next call sees the full rank
-// count again (the simulated runtime respawns ranks each call).
+// recovered ULFM-style: the dead ranks' files are re-planned onto the
+// survivors from the costs the policy plans on, and the call re-runs on
+// the shrunk communicator. Recovery is per call — the next call sees the
+// full rank count again (the simulated runtime respawns ranks each
+// call).
 func (e *Estimator) Objective(k []float64, residual []float64) error {
 	m := e.ResidualDim()
 	if len(residual) != m {
@@ -506,15 +541,12 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 		defer e.lane.End()
 	}
 	e.checkPoolFault()
-	if e.schedEnabled() {
-		return e.objectiveSched(k, residual, start)
-	}
 	nf := len(e.files)
-	assignment := e.assignment
+	plans := e.plans
 	ranks := e.cfg.Ranks
-	var globalErr, globalTime []float64
+	var out callResult
 	for {
-		ge, gt, rep, solveErr := e.runCall(k, assignment, ranks, m, nf)
+		res, rep, solveErr := e.runCall(k, plans, ranks, m)
 		for _, st := range rep.States {
 			e.met.mpiWaitSec.Add(float64(st.WaitNs) / 1e9)
 		}
@@ -522,12 +554,11 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 			return solveErr
 		}
 		if rep.OK() {
-			globalErr, globalTime = ge, gt
+			out = res
 			break
 		}
 		if budget.Exhausted(rep.Err()) {
-			// The budget released the ranks — this is cancellation, not a
-			// failure to recover from.
+			// The budget released the ranks — cancellation, not a failure.
 			return rep.Err()
 		}
 		if !e.cfg.FaultTolerant {
@@ -547,163 +578,41 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 		e.recMu.Unlock()
 		e.met.rankFailures.Add(int64(len(dead)))
 		e.met.rerunCalls.Inc()
-		// Shrink and retry: survivors cover every file; LPT over the
-		// last known per-file costs keeps the re-run balanced.
+		// Shrink and retry: survivors cover every file, planned from the
+		// best cost estimate the policy has mid-call.
 		ranks -= len(dead)
-		assignment = AssignLPT(e.lastTimes, ranks)
-		if e.lane != nil {
-			e.lane.Instant(fmt.Sprintf("rank recovery (shrink to %d)", ranks))
-		}
-		e.log.Warn("recovery", "rank recovery: shrink and re-run",
+		plans, _ = sched.Plan(e.planCosts(), e.nrecs, ranks, e.schedCfg)
+		e.lane.Instant(fmt.Sprintf("rank recovery (shrink to %d)", ranks))
+		e.log.Warn("recovery", "rank recovery: shrink and re-plan",
 			"call", e.calls, "dead", len(dead), "ranks", ranks,
 			"watchdog", fmt.Sprint(rep.WatchdogFired))
 	}
 	if err := e.cfg.Budget.Check(); err != nil {
-		// The budget tripped after the last collective completed: the
-		// reduction is whole, but the caller asked for cancellation —
-		// honor it rather than racing the trip against the return.
+		// Tripped after the last collective completed: ranks may have
+		// stopped claiming items mid-plan, so the reduction cannot be
+		// trusted as complete — honor the cancellation.
 		return err
 	}
-	copy(residual, globalErr)
-	copy(e.lastTimes, globalTime)
+
+	// Order-independent reduction: fold the exactly-summed per-file
+	// contribution buffers in ascending file order — the serial path's
+	// addition sequence, regardless of what the schedule looked like.
+	for j := range residual {
+		residual[j] = 0
+	}
+	for fi := 0; fi < nf; fi++ {
+		block := out.contrib[fi*m : (fi+1)*m]
+		for j := 0; j < e.nrecs[fi]; j++ {
+			residual[j] += block[j]
+		}
+	}
+	copy(e.lastTimes, out.fileOps)
 	e.calls++
 	e.wallSeconds += time.Since(start).Seconds()
 	e.met.objectives.Inc()
-	// Modeled parallel work: the slowest rank's total.
-	worst := 0.0
-	total := 0.0
-	for _, files := range assignment {
-		s := 0.0
-		for _, fi := range files {
-			s += globalTime[fi]
-		}
-		total += s
-		if s > worst {
-			worst = s
-		}
-	}
-	e.modelOps += worst
-	if mean := total / float64(len(assignment)); mean > 0 {
-		e.met.imbalance.Set(worst / mean)
-	}
-	// Apply the dynamic load balancing algorithm for the next call.
-	if e.cfg.LoadBalance {
-		e.assignment = AssignLPT(globalTime, e.cfg.Ranks)
-		e.lane.Instant("rebalance (LPT)")
-	}
+	e.account(plans, out.itemOps)
+	e.replan(out.successOps)
 	return nil
-}
-
-// runCall executes one parallel objective evaluation over the given
-// assignment and rank count, returning the reduced error vector, the
-// per-file work, the mpi report, and the first solver error (non-nil
-// only without FaultTolerant, which handles solves in-rank).
-func (e *Estimator) runCall(k []float64, assignment [][]int, ranks, m, nf int) ([]float64, []float64, *mpi.RunReport, error) {
-	globalErr := make([]float64, m)
-	globalTime := make([]float64, nf)
-	var errMu sync.Mutex
-	var firstErr error
-	call := e.calls
-	cfg := mpi.RunConfig{Watchdog: e.cfg.Watchdog, Hook: e.cfg.Hook, Trace: e.cfg.Trace,
-		Budget: e.cfg.Budget, Log: e.mpiLog}
-	rep := mpi.RunErr(ranks, cfg, func(c *mpi.Comm) error {
-		localErr := make([]float64, m)
-		localTime := make([]float64, nf)
-		var scratch []float64
-		if e.cfg.FaultTolerant {
-			scratch = make([]float64, m)
-		}
-		ev := e.model.Prog.NewEvaluator()
-		ev.Observe(e.cfg.Metrics)
-		var pool *parallel.Pool
-		if e.pools != nil && !e.poolsOff {
-			pool = e.pools[c.Rank()]
-			ev.SetParallel(pool)
-		}
-		lane := c.Lane()
-		slow := e.laneSlowdown(call, c.Rank(), 0)
-		rankFiles := assignment[c.Rank()]
-		// attempt0 is the injector attempt index of the serial loop below:
-		// 0 normally, 1 after a batch→serial degrade (the batched solve
-		// consumed attempt 0, so one-attempt schedules don't re-fire on
-		// the fallback while persistent ones still surface).
-		attempt0 := 0
-		if e.useBatch() && len(rankFiles) > 0 {
-			var degraded bool
-			var batchErr error
-			rankFiles, degraded, batchErr = e.solveRankBatch(rankFiles, k, pool, localErr, localTime, lane, call, c.Rank())
-			if degraded {
-				attempt0 = 1
-			}
-			if batchErr != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = batchErr
-				}
-				errMu.Unlock()
-			}
-		}
-		for _, fi := range rankFiles {
-			if e.cfg.Budget.Check() != nil {
-				// Stop claiming files; the collectives below surface the
-				// trip (the budget watcher releases blocked ranks).
-				break
-			}
-			// The span is closed by defer so an abort unwinding through a
-			// collective — or any future early return — cannot leak it.
-			func() {
-				lane.Begin("solve " + e.files[fi].Name)
-				defer lane.End()
-				e.log.Debug("solve", "file solve",
-					"call", call, "rank", c.Rank(), "file", e.files[fi].Name)
-				if e.cfg.FaultTolerant {
-					st, _, retries, penalized := e.solveFileFT(ev, pool, e.files[fi], k, scratch, localErr, call, c.Rank(), fi)
-					localTime[fi] = e.workOps(st) * slow
-					// solveFileFT feeds the per-attempt cost histograms itself
-					// (successes and retries land in separate ones); only the
-					// cumulative solver counters remain to publish here.
-					e.met.fileSolves.Inc()
-					e.publishSolveStats(st)
-					e.met.retries.Add(int64(retries))
-					if retries > 0 || penalized {
-						e.recMu.Lock()
-						e.recovery.Retries += retries
-						if penalized {
-							e.recovery.PenalizedFiles++
-							e.met.penalized.Inc()
-						}
-						e.recMu.Unlock()
-					}
-					return
-				}
-				var st ode.Stats
-				err := error(nil)
-				if e.cfg.Faults != nil {
-					err = e.cfg.Faults.FileSolve(call, c.Rank(), fi, attempt0)
-				}
-				if err == nil {
-					st, err = e.solveFile(ev, pool, e.files[fi], k, localErr, e.model.SolverOpts)
-				}
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("estimator: file %s: %w", e.files[fi].Name, err)
-					}
-					errMu.Unlock()
-				}
-				localTime[fi] = e.workOps(st) * slow
-				e.publishSolve(st)
-			}()
-		}
-		ge := c.AllReduce(localErr, mpi.SumOp)
-		gt := c.AllReduce(localTime, mpi.SumOp)
-		if c.Rank() == 0 {
-			copy(globalErr, ge)
-			copy(globalTime, gt)
-		}
-		return nil
-	})
-	return globalErr, globalTime, rep, firstErr
 }
 
 // solveFile integrates the model across one file's time grid,
@@ -723,7 +632,7 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, pool *parallel.Pool, f *dat
 // same adaptive integration, so a sub-range's emitted residuals are
 // bit-identical to the corresponding slice of the whole-file solve),
 // but only records >= lo contribute to errvec. This exactness is what
-// lets the v2 scheduler split a dominant file across ranks without
+// lets the scheduler split a dominant file across ranks without
 // perturbing the fit; the cost asymmetry it implies (a later sub-range
 // costs nearly the whole file) is documented in docs/load-balancing.md.
 func (e *Estimator) solveFileRange(ev *codegen.Evaluator, pool *parallel.Pool, f *dataset.File, k []float64, errvec []float64, opts ode.Options, lo, hi int) (ode.Stats, error) {
@@ -796,13 +705,13 @@ func (e *Estimator) solveFileRange(ev *codegen.Evaluator, pool *parallel.Pool, f
 	return solver.Stats(), nil
 }
 
-// useBatch reports whether objective calls take the batched solve path.
-// The v2 scheduler owns per-item scheduling, so Batch is ignored under it
-// (the lockstep batch solve is one indivisible unit per rank). Fault
-// injection composes with Batch via the batch→serial degradation ladder
-// (see solveRankBatch); FaultTolerant still forces the per-file path.
+// useBatch reports whether each rank's items run as one batched solve.
+// New has rejected every config where that could not be the whole
+// executor (several lanes, stealing, splits, FaultTolerant); fault
+// injection composes via the batch→serial degradation ladder (see
+// solveRankBatch).
 func (e *Estimator) useBatch() bool {
-	return e.cfg.Batch && e.model.Stiff && !e.cfg.FaultTolerant && !e.schedEnabled()
+	return e.cfg.Batch && e.model.Stiff
 }
 
 // ascendingRecords reports whether a file's record times are
@@ -816,43 +725,44 @@ func ascendingRecords(f *dataset.File) bool {
 	return true
 }
 
-// solveRankBatch integrates all of a rank's batchable files as one
-// lockstep batched BDF solve: each file is a lane, the compiled tape
-// evaluates once per corrector iteration for the whole rank
-// (codegen.BatchEvaluator), and each lane's residual contributions are
-// emitted at its own record times with per-lane completion masking.
-// Files whose record grids are not ascending are returned for the serial
-// per-file path.
+// solveRankBatch integrates a rank's batchable items — whole files, in
+// plan order — as one lockstep batched BDF solve: each file is a lane,
+// the compiled tape evaluates once per corrector iteration for the whole
+// rank (codegen.BatchEvaluator), and each lane's residual contributions
+// are emitted at its own record times with per-lane completion masking.
+// Files whose record grids are not ascending are returned for the
+// per-item path.
 //
-// Contributions are staged in a private buffer and folded into errvec
-// only when every lane succeeded, so a failed batch leaves errvec
-// untouched and the whole rank degrades to the per-file serial path
-// (degrade.batch_serial): the returned slice is then the rank's full
-// original file list. The fold is bit-identical to emitting directly —
-// errvec's entries are all zero before the batch runs (freshly allocated
-// local buffer), so folding adds each staged value to +0. An injected
-// fault on any lane degrades the batch the same way; only a budget trip
-// is returned as an error (cancellation must not be retried serially).
-func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Pool, errvec, timevec []float64, lane *telemetry.Lane, call, rank int) (files []int, degraded bool, err error) {
-	var lanes, leftovers []int
-	for _, fi := range fileIdx {
-		if ascendingRecords(e.files[fi]) {
-			lanes = append(lanes, fi)
+// Contributions are staged in a private per-lane buffer and folded into
+// the files' contribution blocks only when every lane succeeded, so a
+// failed batch leaves the blocks untouched and the whole rank degrades
+// to the per-item path (degrade.batch_serial): the returned slice is
+// then the rank's full original item list. The fold is bit-identical to
+// emitting directly — every block entry is zero before the batch runs,
+// so folding adds each staged value to +0. An injected fault on any lane
+// degrades the batch the same way; only a budget trip is returned as an
+// error (cancellation must not be retried serially). Work is recorded
+// per item in itemOps and succOps, indexed by Item.Seq.
+func (e *Estimator) solveRankBatch(items []sched.Item, k []float64, pool *parallel.Pool, contrib []float64, m int, itemOps, succOps []float64, call, rank int, lane *telemetry.Lane) (rest []sched.Item, degraded bool, err error) {
+	var lanes, leftovers []sched.Item
+	for _, it := range items {
+		if ascendingRecords(e.files[it.File]) {
+			lanes = append(lanes, it)
 		} else {
-			leftovers = append(leftovers, fi)
+			leftovers = append(leftovers, it)
 		}
 	}
 	if len(lanes) == 0 {
 		return leftovers, false, nil
 	}
 	if e.cfg.Faults != nil {
-		for _, fi := range lanes {
-			if err := e.cfg.Faults.FileSolve(call, rank, fi, 0); err != nil {
+		for _, it := range lanes {
+			if err := e.cfg.Faults.FileSolve(call, rank, it.File, 0); err != nil {
 				if budget.Exhausted(err) {
 					return nil, false, err
 				}
 				e.noteBatchDegrade(lane)
-				return fileIdx, true, nil
+				return items, true, nil
 			}
 		}
 	}
@@ -905,8 +815,8 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Po
 	solver := ode.NewBatchBDF(rhs, n, b, bopts)
 
 	grids := make([][]float64, b)
-	for l, fi := range lanes {
-		recs := e.files[fi].Records
+	for l, it := range lanes {
+		recs := e.files[it.File].Records
 		grid := make([]float64, len(recs))
 		for j, rec := range recs {
 			grid[j] = rec.T
@@ -918,10 +828,10 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Po
 		errf = func(sim, obs float64) float64 { return sim - obs }
 	}
 	// Stage contributions so a failed batch can be discarded whole.
-	staged := make([]float64, len(errvec))
+	staged := make([]float64, b*m)
 	solveErr := solver.Solve(0, y0, grids, func(l, idx int, y []float64) {
 		sim := e.model.Property(y)
-		staged[idx] += errf(sim, e.files[lanes[l]].Records[idx].Value)
+		staged[l*m+idx] += errf(sim, e.files[lanes[l].File].Records[idx].Value)
 	})
 
 	var failErr error
@@ -946,14 +856,17 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Po
 			e.met.retryNs.Observe(e.workOps(solver.LaneStats(l)) * e.secPerOp * 1e9)
 		}
 		e.noteBatchDegrade(lane)
-		return fileIdx, true, nil
+		return items, true, nil
 	}
-	for j, v := range staged {
-		errvec[j] += v
-	}
-	for l, fi := range lanes {
+	for l, it := range lanes {
+		block := contrib[it.File*m : (it.File+1)*m]
+		for j, v := range staged[l*m : (l+1)*m] {
+			block[j] += v
+		}
 		st := solver.LaneStats(l)
-		timevec[fi] = e.workOps(st)
+		w := e.workOps(st) * e.laneSlowdown(call, rank, 0, it)
+		itemOps[it.Seq] = w
+		succOps[it.Seq] = w
 		e.publishSolve(st)
 	}
 	return leftovers, false, nil
@@ -1014,53 +927,4 @@ func (e *Estimator) Analyze(fit *nlopt.Result) (stats.Fit, []stats.Interval, err
 		return good, nil, err
 	}
 	return good, ivs, nil
-}
-
-// blockAssign is the static distribution of Fig. 9's BLOCK_SIZE():
-// contiguous, near-equal file blocks per rank.
-func blockAssign(nFiles, ranks int) [][]int {
-	out := make([][]int, ranks)
-	base := nFiles / ranks
-	rem := nFiles % ranks
-	idx := 0
-	for r := 0; r < ranks; r++ {
-		n := base
-		if r < rem {
-			n++
-		}
-		for i := 0; i < n; i++ {
-			out[r] = append(out[r], idx)
-			idx++
-		}
-	}
-	return out
-}
-
-// AssignLPT is the paper's dynamic load balancing algorithm: files are
-// ordered by non-increasing solve time (the priority queue) and each is
-// allocated to the rank with the least total allocated time so far. The
-// result is fully deterministic: equal solve times break toward the
-// lower file index, and a tie between rank loads goes to the lower rank,
-// so repeated calls with the same times give the same assignment. The
-// algorithm now lives in package sched (the v2 scheduler plans whole
-// files through the identical rule); this wrapper keeps the historical
-// v1 entry point.
-func AssignLPT(times []float64, ranks int) [][]int {
-	return sched.LPT(times, ranks)
-}
-
-// Makespan returns the maximum per-rank total time of an assignment —
-// the modeled parallel time of one objective call.
-func Makespan(assignment [][]int, times []float64) float64 {
-	worst := 0.0
-	for _, files := range assignment {
-		s := 0.0
-		for _, fi := range files {
-			s += times[fi]
-		}
-		if s > worst {
-			worst = s
-		}
-	}
-	return worst
 }

@@ -1,10 +1,10 @@
 package estimator
 
 import (
+	"errors"
 	"math"
-	"math/rand"
+	"reflect"
 	"testing"
-	"testing/quick"
 
 	"rms/internal/codegen"
 	"rms/internal/dataset"
@@ -13,6 +13,7 @@ import (
 	"rms/internal/nlopt"
 	"rms/internal/ode"
 	"rms/internal/opt"
+	"rms/internal/sched"
 )
 
 // decayModel builds A -> B with rate K_d; the property is [B].
@@ -155,145 +156,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestBlockAssign(t *testing.T) {
-	a := blockAssign(16, 4)
-	for r, files := range a {
-		if len(files) != 4 {
-			t.Errorf("rank %d got %d files", r, len(files))
-		}
-	}
-	// 5 files over 2 ranks: 3 + 2.
-	b := blockAssign(5, 2)
-	if len(b[0]) != 3 || len(b[1]) != 2 {
-		t.Errorf("blockAssign(5,2) = %v", b)
-	}
-	// More ranks than files: some ranks idle.
-	c := blockAssign(2, 4)
-	total := 0
-	for _, files := range c {
-		total += len(files)
-	}
-	if total != 2 {
-		t.Errorf("blockAssign(2,4) total = %d", total)
-	}
-}
-
-func TestAssignLPTKnown(t *testing.T) {
-	// Times 5,4,3,3,2,1 over 2 ranks: LPT gives makespan 9 (optimal).
-	times := []float64{5, 4, 3, 3, 2, 1}
-	a := AssignLPT(times, 2)
-	ms := Makespan(a, times)
-	if ms != 9 {
-		t.Errorf("LPT makespan = %v, want 9", ms)
-	}
-	// All files assigned exactly once.
-	seen := make(map[int]bool)
-	for _, files := range a {
-		for _, f := range files {
-			if seen[f] {
-				t.Errorf("file %d assigned twice", f)
-			}
-			seen[f] = true
-		}
-	}
-	if len(seen) != len(times) {
-		t.Errorf("assigned %d of %d files", len(seen), len(times))
-	}
-}
-
-// Properties of LPT: within the greedy list-scheduling guarantee
-// sum/m + (1-1/m)·max, never below the lower bounds max(t_i) and sum/m,
-// and every file assigned exactly once. (LPT is a heuristic: a specific static
-// block layout can occasionally beat it, so no pairwise dominance is
-// asserted; the load-balancing win on realistic imbalance is checked in
-// TestLoadBalanceImproves.)
-func TestAssignLPTProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nf := 1 + rng.Intn(20)
-		ranks := 1 + rng.Intn(8)
-		times := make([]float64, nf)
-		sum, maxT := 0.0, 0.0
-		for i := range times {
-			times[i] = rng.Float64()*10 + 0.1
-			sum += times[i]
-			if times[i] > maxT {
-				maxT = times[i]
-			}
-		}
-		a := AssignLPT(times, ranks)
-		lpt := Makespan(a, times)
-		lower := math.Max(maxT, sum/float64(ranks))
-		// Greedy list-scheduling guarantee: makespan ≤ sum/m + (1-1/m)·max.
-		bound := sum/float64(ranks) + (1-1/float64(ranks))*maxT
-		if lpt < lower-1e-9 || lpt > bound+maxT*1e-9 {
-			t.Logf("LPT %v outside [%v, %v]", lpt, lower, bound)
-			return false
-		}
-		seen := make(map[int]bool)
-		for _, files := range a {
-			for _, fi := range files {
-				if seen[fi] {
-					return false
-				}
-				seen[fi] = true
-			}
-		}
-		return len(seen) == nf
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Regression: LPT must be fully deterministic when solve times tie. With
-// all-equal times the index tie-break makes the sorted order exactly
-// 0..n-1 and the least-loaded-rank rule (ties to the lower rank) deals
-// files round-robin, so the assignment is known in closed form — and
-// repeated calls must reproduce it bit-for-bit.
-func TestAssignLPTDeterministicUnderTies(t *testing.T) {
-	times := make([]float64, 11)
-	for i := range times {
-		times[i] = 3.5
-	}
-	const ranks = 4
-	want := AssignLPT(times, ranks)
-	for r := range want {
-		for j, fi := range want[r] {
-			if fi != j*ranks+r {
-				t.Fatalf("rank %d file %d = %d, want round-robin %d", r, j, fi, j*ranks+r)
-			}
-		}
-	}
-	for trial := 0; trial < 50; trial++ {
-		got := AssignLPT(times, ranks)
-		for r := range want {
-			if len(got[r]) != len(want[r]) {
-				t.Fatalf("trial %d: rank %d size changed", trial, r)
-			}
-			for j := range want[r] {
-				if got[r][j] != want[r][j] {
-					t.Fatalf("trial %d: assignment not deterministic: rank %d got %v want %v",
-						trial, r, got[r], want[r])
-				}
-			}
-		}
-	}
-	// Partial ties among distinct values stay deterministic too.
-	mixed := []float64{2, 7, 2, 7, 5, 2, 5}
-	first := AssignLPT(mixed, 3)
-	for trial := 0; trial < 50; trial++ {
-		got := AssignLPT(mixed, 3)
-		for r := range first {
-			for j := range first[r] {
-				if got[r][j] != first[r][j] {
-					t.Fatalf("mixed ties: trial %d rank %d got %v want %v", trial, r, got[r], first[r])
-				}
-			}
-		}
-	}
-}
-
 // Workers > 1 attaches per-rank pools to the tape evaluators; residuals
 // must stay bit-identical to the serial configuration, with and without
 // the analytic Jacobian.
@@ -337,8 +199,8 @@ func TestObjectiveWorkersBitIdentical(t *testing.T) {
 }
 
 // Dynamic load balancing takes effect: after one call with imbalanced
-// per-file costs, the reassignment's makespan is no worse than the static
-// one under the measured times.
+// per-file costs, the re-plan's makespan is no worse than the static
+// block plan's under the measured times.
 func TestLoadBalanceImproves(t *testing.T) {
 	m := decayModel(t)
 	// One big file and several small ones — static blocks pair the big
@@ -348,20 +210,21 @@ func TestLoadBalanceImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticAssign := e.Assignment()
+	staticPlan := e.Plans()
 	r := make([]float64, e.ResidualDim())
 	if err := e.Objective([]float64{1}, r); err != nil {
 		t.Fatal(err)
 	}
 	times := e.FileTimes()
-	newAssign := e.Assignment()
-	if Makespan(newAssign, times) > Makespan(staticAssign, times)+1e-9 {
-		t.Errorf("LPT makespan %v worse than static %v",
-			Makespan(newAssign, times), Makespan(staticAssign, times))
+	measured := func(it sched.Item) float64 { return times[it.File] }
+	before := sched.MakespanItems(staticPlan, measured)
+	after := sched.MakespanItems(e.Plans(), measured)
+	if after > before+1e-9 {
+		t.Errorf("LPT makespan %v worse than static %v", after, before)
 	}
 }
 
-// With load balancing off, the assignment never changes.
+// With load balancing off, the plan never changes.
 func TestNoLoadBalanceKeepsAssignment(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{60, 10, 10, 10})
@@ -369,21 +232,57 @@ func TestNoLoadBalanceKeepsAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.Assignment()
+	before := e.Plans()
 	r := make([]float64, e.ResidualDim())
-	if err := e.Objective([]float64{1}, r); err != nil {
-		t.Fatal(err)
+	for call := 0; call < 2; call++ {
+		if err := e.Objective([]float64{1}, r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	after := e.Assignment()
-	for rk := range before {
-		if len(before[rk]) != len(after[rk]) {
-			t.Fatalf("assignment changed without load balancing")
-		}
-		for i := range before[rk] {
-			if before[rk][i] != after[rk][i] {
-				t.Fatalf("assignment changed without load balancing")
+	if after := e.Plans(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("plan changed without load balancing: %v -> %v", before, after)
+	}
+}
+
+// TestNewRejectsConflictingFlags: flag combinations that cannot all take
+// effect fail at New instead of silently dropping one of them.
+func TestNewRejectsConflictingFlags(t *testing.T) {
+	m := decayModel(t)
+	files := makeFiles(1, []int{10, 10})
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"batch+lanes", Config{Batch: true, Sched: &sched.Config{Lanes: 2}}, false},
+		{"batch+steal", Config{Batch: true, Sched: &sched.Config{Steal: true}}, false},
+		{"batch+split", Config{Batch: true, Sched: &sched.Config{SplitShare: 0.3}}, false},
+		{"batch+ft", Config{Batch: true, FaultTolerant: true}, false},
+		{"workers+lanes", Config{Workers: 2, Sched: &sched.Config{Lanes: 2}}, false},
+		{"lb+sched", Config{LoadBalance: true, Sched: &sched.Config{Policy: sched.PolicyLPT}}, false},
+		// Composing configurations stay accepted.
+		{"batch+lb", Config{Batch: true, LoadBalance: true}, true},
+		{"batch+sched-one-lane", Config{Batch: true, Sched: &sched.Config{}}, true},
+		// lpt never splits, so its SplitShare is moot.
+		{"batch+lpt-split", Config{Batch: true, Sched: &sched.Config{Policy: sched.PolicyLPT, SplitShare: 0.3}}, true},
+		{"workers+one-lane", Config{Workers: 2, Sched: &sched.Config{Lanes: 1}}, true},
+		{"ft+sched-split", Config{FaultTolerant: true, Sched: &sched.Config{SplitShare: 0.3, Lanes: 2}}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Ranks = 2
+			e, err := New(m, files, tc.cfg)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				e.Close()
+				return
 			}
-		}
+			if !errors.Is(err, ErrConflict) {
+				t.Fatalf("err = %v, want ErrConflict", err)
+			}
+		})
 	}
 }
 

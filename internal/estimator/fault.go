@@ -20,6 +20,7 @@ import (
 	"rms/internal/faults"
 	"rms/internal/ode"
 	"rms/internal/parallel"
+	"rms/internal/sched"
 )
 
 // FaultInjector is the estimator's injection seam (package faults
@@ -123,7 +124,7 @@ type DegradeStats struct {
 	// BatchSerial counts rank batches abandoned to the per-file serial
 	// path after a batched solve failed.
 	BatchSerial int
-	// SchedStatic counts v2 scheduler demotions from the EWMA policy to
+	// SchedStatic counts scheduler demotions from the EWMA policy to
 	// plain LPT after sustained cost-model misprediction.
 	SchedStatic int
 	// PoolSerial counts worker-pool demotions to serial tape evaluation
@@ -175,15 +176,15 @@ func (e *Estimator) checkPoolFault() {
 		"call", e.calls)
 }
 
-// laneSlowdown returns the injected cost-inflation factor for a solve
+// laneSlowdown returns the injected cost-inflation factor for item it,
 // executed by {rank, lane} during the given call (1 without injection).
-// The factor scales the *measured* cost a slowed lane reports, which is
-// how a chronically slow worker looks to the scheduler's cost model.
-func (e *Estimator) laneSlowdown(call, rank, lane int) float64 {
+// The factor scales the *measured* cost the item reports, which is how a
+// slow worker looks to the scheduler's cost model.
+func (e *Estimator) laneSlowdown(call, rank, lane int, it sched.Item) float64 {
 	if ls, ok := e.cfg.Faults.(interface {
-		LaneSlowdown(call, rank, lane int) float64
+		LaneSlowdown(call, rank, lane, file, lo int) float64
 	}); ok {
-		return ls.LaneSlowdown(call, rank, lane)
+		return ls.LaneSlowdown(call, rank, lane, it.File, it.Lo)
 	}
 	return 1
 }
@@ -267,10 +268,10 @@ func (e *Estimator) retryOpts(f *dataset.File, attempt int) ode.Options {
 // only the successful attempt's cost enters estimator.file_solve_ns —
 // the histogram the cost model reads — while every failed attempt's
 // cost goes to estimator.file_retry_ns. Bucketing retries together with
-// clean solves (the pre-v2 behavior) inflated a file's apparent cost by
-// up to MaxAttempts× after one bad LM trial point, and the EWMA would
-// then mis-plan several subsequent calls; the scheduler's model is fed
-// from the successful-attempt measure alone for the same reason.
+// clean solves would inflate a file's apparent cost by up to
+// MaxAttempts× after one bad LM trial point, and the EWMA would then
+// mis-plan several subsequent calls; the scheduler's model is fed from
+// the successful-attempt measure alone for the same reason.
 func (e *Estimator) solveFileFT(ev *codegen.Evaluator, pool *parallel.Pool, f *dataset.File, k []float64, scratch, errvec []float64, call, rank, fi int) (total, success ode.Stats, retries int, penalized bool) {
 	pol := e.retry
 	nr := f.NumRecords()

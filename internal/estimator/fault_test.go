@@ -214,10 +214,10 @@ func TestRankCrashRecoveredMidFit(t *testing.T) {
 	m := decayModel(t)
 	kTrue := 1.2
 	files := makeFiles(kTrue, []int{50, 30})
-	// Each objective call costs every rank two collectives (the error
-	// and time AllReduces), so cumulative collective 6 of rank 1 lands
-	// in objective call 3 — mid-fit.
-	plan := faults.NewPlan(1).CrashRank(1, 6)
+	// Each objective call costs every rank one collective (the packed
+	// AllReduce), so cumulative collective 3 of rank 1 lands in
+	// objective call 3 — mid-fit.
+	plan := faults.NewPlan(1).CrashRank(1, 3)
 	e, err := New(m, files, Config{
 		Ranks: 2, LoadBalance: true, FaultTolerant: true, Faults: plan, Hook: plan,
 	})

@@ -1,8 +1,8 @@
-// The v2 scheduler path of the parallel objective (Config.Sched,
-// package sched, docs/load-balancing.md): plans are per-rank lists of
-// items — record sub-ranges of data files — drained by work-stealing
-// lanes, measured per item, and re-planned between objective calls from
-// a persistent EWMA cost model.
+// The parallel objective's executor (package sched,
+// docs/load-balancing.md): plans are per-rank lists of items — record
+// sub-ranges of data files — drained by work-stealing lanes (or, under
+// Config.Batch, by one lockstep batched solve per rank), measured per
+// item, and re-planned between objective calls by the configured policy.
 //
 // Numerical invariant: residual accumulation is order-independent. Each
 // rank writes every item's contribution into a per-(file, record)
@@ -19,9 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
-	"rms/internal/budget"
 	"rms/internal/codegen"
 	"rms/internal/mpi"
 	"rms/internal/ode"
@@ -29,7 +27,7 @@ import (
 	"rms/internal/sched"
 )
 
-// SchedStats counts the v2 scheduler's decisions, accumulated across
+// SchedStats counts the scheduler's decisions, accumulated across
 // objective calls. Steals are the deterministic virtual-clock replay's
 // count (the modeled schedule — reproducible across runs), not the
 // OS-timing-dependent count of the concurrent executor.
@@ -38,12 +36,9 @@ type SchedStats struct {
 	Steals int
 	// Splits counts files split into record sub-ranges at plan time.
 	Splits int
-	// Replans counts cost-model-driven re-planning decisions.
+	// Replans counts re-planning decisions between calls.
 	Replans int
 }
-
-// schedEnabled reports whether objective calls take the v2 scheduler path.
-func (e *Estimator) schedEnabled() bool { return e.cost != nil }
 
 // The ewma→lpt demotion fires after schedMispredictLimit consecutive
 // calls whose mean relative cost-model error exceeds schedMispredictRel.
@@ -52,111 +47,32 @@ const (
 	schedMispredictLimit = 3
 )
 
-// SchedStats returns the accumulated v2 scheduler decision counts.
+// SchedStats returns the accumulated scheduler decision counts.
 func (e *Estimator) SchedStats() SchedStats { return e.schedStats }
 
-// Plans returns a copy of the current per-rank item plans (nil without
-// an active v2 scheduler).
-func (e *Estimator) Plans() [][]sched.Item {
-	if e.plans == nil {
-		return nil
-	}
-	out := make([][]sched.Item, len(e.plans))
-	for r := range e.plans {
-		out[r] = append([]sched.Item(nil), e.plans[r]...)
-	}
-	return out
-}
+// Plans returns a copy of the current per-rank item plans.
+func (e *Estimator) Plans() [][]sched.Item { return copyPlanItems(e.plans) }
 
 // CostPredictions returns the cost model's current per-file predictions
-// in op units (nil without an active v2 scheduler).
-func (e *Estimator) CostPredictions() []float64 {
-	if e.cost == nil {
-		return nil
+// in op units.
+func (e *Estimator) CostPredictions() []float64 { return e.cost.Predictions() }
+
+// planCosts returns the per-file costs the current policy plans on: the
+// EWMA model's predictions, or the raw last-measured costs for the
+// paper's balancers (static re-plans only to recover lost ranks).
+func (e *Estimator) planCosts() []float64 {
+	if e.schedCfg.Policy == sched.PolicyEWMA {
+		return e.cost.Predictions()
 	}
-	return e.cost.Predictions()
+	return e.lastTimes
 }
 
-// objectiveSched is Objective on the v2 scheduler path. The recovery
-// loop mirrors the v1 path: under FaultTolerant, rank failures shrink
-// the communicator and the call re-runs on a fresh plan for the
-// survivors.
-func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error {
-	m := len(residual)
-	nf := len(e.files)
-	plans := e.plans
-	ranks := e.cfg.Ranks
-	var contrib, globalTime, successTime, itemOps []float64
-	for {
-		co, gt, gs, io, rep, solveErr := e.runCallSched(k, plans, ranks, m, nf)
-		for _, st := range rep.States {
-			e.met.mpiWaitSec.Add(float64(st.WaitNs) / 1e9)
-		}
-		if solveErr != nil {
-			return solveErr
-		}
-		if rep.OK() {
-			contrib, globalTime, successTime, itemOps = co, gt, gs, io
-			break
-		}
-		if budget.Exhausted(rep.Err()) {
-			// The budget released the ranks — cancellation, not a failure.
-			return rep.Err()
-		}
-		if !e.cfg.FaultTolerant {
-			return fmt.Errorf("estimator: parallel objective failed: %w", rep.Err())
-		}
-		dead := rep.Culprits()
-		if len(dead) == 0 || len(dead) >= ranks {
-			return fmt.Errorf("estimator: unrecoverable objective failure: %w", rep.Err())
-		}
-		e.recMu.Lock()
-		if rep.WatchdogFired {
-			e.recovery.WatchdogTrips++
-			e.met.watchdogTrips.Inc()
-		}
-		e.recovery.RankFailures += len(dead)
-		e.recovery.RerunCalls++
-		e.recMu.Unlock()
-		e.met.rankFailures.Add(int64(len(dead)))
-		e.met.rerunCalls.Inc()
-		// Shrink and retry: re-plan the survivors on the model's current
-		// predictions (the best cost estimate available mid-call).
-		ranks -= len(dead)
-		plans, _ = sched.Plan(e.cost.Predictions(), e.nrecs, ranks, e.schedCfg)
-		e.lane.Instant(fmt.Sprintf("rank recovery (shrink to %d)", ranks))
-		e.log.Warn("recovery", "rank recovery: shrink and re-plan",
-			"call", e.calls, "dead", len(dead), "ranks", ranks,
-			"watchdog", fmt.Sprint(rep.WatchdogFired))
-	}
-	if err := e.cfg.Budget.Check(); err != nil {
-		// Tripped after the last collective completed: ranks may have
-		// stopped claiming items mid-plan, so the reduction cannot be
-		// trusted as complete — honor the cancellation.
-		return err
-	}
-
-	// Order-independent reduction: fold the exactly-summed per-file
-	// contribution buffers in ascending file order — the serial path's
-	// addition sequence, regardless of what the schedule looked like.
-	for j := range residual {
-		residual[j] = 0
-	}
-	for fi := 0; fi < nf; fi++ {
-		block := contrib[fi*m : (fi+1)*m]
-		for j := 0; j < e.nrecs[fi]; j++ {
-			residual[j] += block[j]
-		}
-	}
-	copy(e.lastTimes, globalTime)
-	e.calls++
-	e.wallSeconds += time.Since(start).Seconds()
-	e.met.objectives.Inc()
-
-	// Modeled parallel time: replay the executed plan under the virtual
-	// clock with the measured per-item costs. Deterministic under CPU
-	// oversubscription, faithful to the greedy steal discipline, and the
-	// source of the steal counters (see SchedStats).
+// account adds one finished call's modeled parallel time: the executed
+// plan replayed under the virtual clock with the measured per-item
+// costs. Deterministic under CPU oversubscription, faithful to the
+// greedy steal discipline, and the source of the steal counters (see
+// SchedStats).
+func (e *Estimator) account(plans [][]sched.Item, itemOps []float64) {
 	costOf := func(it sched.Item) float64 { return itemOps[it.Seq] }
 	worst, total := 0.0, 0.0
 	steals := 0
@@ -176,12 +92,15 @@ func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error
 	}
 	e.schedStats.Steals += steals
 	e.met.schedSteals.Add(int64(steals))
+}
 
-	// Feed the cost model from successful-attempt work only (a penalized
-	// file reports zero, which Observe ignores), then re-plan per policy.
+// replan feeds the cost model from successful-attempt work only (a
+// penalized file reports zero, which Observe ignores), then computes the
+// next call's plans per policy.
+func (e *Estimator) replan(successOps []float64) {
 	relSum, relN := 0.0, 0
-	for fi := 0; fi < nf; fi++ {
-		rel, first := e.cost.Observe(fi, successTime[fi])
+	for fi, w := range successOps {
+		rel, first := e.cost.Observe(fi, w)
 		if !first && !math.IsNaN(rel) {
 			e.met.costErr.Observe(rel)
 			relSum += rel
@@ -210,17 +129,11 @@ func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error
 				"call", e.calls, "mispredicts", e.mispredicts)
 		}
 	}
-	splits := 0
-	switch e.schedCfg.Policy {
-	case sched.PolicyStatic:
-		// Plans stay as computed from the seed; nothing to do.
-		return nil
-	case sched.PolicyLPT:
-		// v1 parity: raw last-measured totals, no smoothing, no splits.
-		e.plans, splits = sched.Plan(globalTime, e.nrecs, e.cfg.Ranks, e.schedCfg)
-	default: // PolicyEWMA
-		e.plans, splits = sched.Plan(e.cost.Predictions(), e.nrecs, e.cfg.Ranks, e.schedCfg)
+	if e.schedCfg.Policy == sched.PolicyStatic {
+		return // the initial plan runs every call
 	}
+	var splits int
+	e.plans, splits = sched.Plan(e.planCosts(), e.nrecs, e.cfg.Ranks, e.schedCfg)
 	e.schedStats.Splits += splits
 	e.schedStats.Replans++
 	e.met.schedSplits.Add(int64(splits))
@@ -228,43 +141,55 @@ func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error
 	e.lane.Instant("rebalance (sched " + e.schedCfg.Policy.String() + ")")
 	e.log.Debug("replan", "schedule recomputed",
 		"call", e.calls, "policy", e.schedCfg.Policy.String(), "splits", splits)
-	return nil
 }
 
-// runCallSched executes one parallel objective evaluation over per-rank
-// item plans. It returns the exactly-reduced per-(file, record)
-// contribution buffer (nf×m), per-file total work, per-file
-// successful-attempt work (the cost model's food), per-item work
-// (indexed by Item.Seq, for the virtual-clock replay), the mpi report,
-// and the first solver error (non-nil only without FaultTolerant).
-func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf int) (contribOut, globalTime, successTime, itemOps []float64, rep *mpi.RunReport, firstErr error) {
+// callResult is one objective call's exactly-reduced measurements.
+type callResult struct {
+	contrib    []float64 // per-(file, record) contributions, nf×m
+	fileOps    []float64 // per-file work, failed attempts included
+	successOps []float64 // per-file successful-attempt work (the cost model's food)
+	itemOps    []float64 // per-item work indexed by Item.Seq (the virtual-clock replay's input)
+}
+
+// runCall executes one parallel objective evaluation over per-rank item
+// plans. It returns the reduced measurements, the mpi report, and the
+// first solver error (non-nil only without FaultTolerant).
+func (e *Estimator) runCall(k []float64, plans [][]sched.Item, ranks, m int) (callResult, *mpi.RunReport, error) {
+	nf := len(e.files)
 	nItems := 0
 	for _, p := range plans {
 		nItems += len(p)
 	}
-	contribOut = make([]float64, nf*m)
-	globalTime = make([]float64, nf)
-	successTime = make([]float64, nf)
-	itemOps = make([]float64, nItems)
+	// Each rank reduces one buffer laid out as [contrib nf×m | file ops
+	// nf | success ops nf | item ops]. Every contribution and item entry
+	// is written by exactly one item on exactly one rank, so the
+	// AllReduce sum is exact (0 + x = x in floating point).
+	offFile, offSucc, offItem := nf*m, nf*m+nf, nf*m+2*nf
+	var global []float64
 	var errMu sync.Mutex
+	var firstErr error
+	noteErr := func(err error) {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+	}
 	call := e.calls
 	sc := e.schedCfg
 	cfg := mpi.RunConfig{Watchdog: e.cfg.Watchdog, Hook: e.cfg.Hook, Trace: e.cfg.Trace,
 		Budget: e.cfg.Budget, Log: e.mpiLog}
-	rep = mpi.RunErr(ranks, cfg, func(c *mpi.Comm) error {
+	rep := mpi.RunErr(ranks, cfg, func(c *mpi.Comm) error {
 		rank := c.Rank()
-		// One contribution buffer per rank; every (file, record) entry is
-		// written by exactly one item on exactly one rank, so the
-		// AllReduce sum below is exact (0 + x = x in floating point).
-		contrib := make([]float64, nf*m)
-		localItem := make([]float64, nItems)
-		localSucc := make([]float64, nItems)
+		buf := make([]float64, offItem+nItems)
+		contrib, itemOps := buf[:offFile], buf[offItem:]
+		succOps := make([]float64, nItems)
 		lanes := sc.Lanes
-		// Per-lane evaluators; a worker pool only composes with a single
-		// lane (pool dispatch is serialized — lanes ARE the intra-rank
-		// parallelism once there are several).
+		// Per-lane evaluators; worker pools exist only with a single lane
+		// (New rejects Workers with several — lanes ARE the intra-rank
+		// parallelism then).
 		var pool *parallel.Pool
-		if e.pools != nil && lanes == 1 && !e.poolsOff {
+		if e.pools != nil && !e.poolsOff {
 			pool = e.pools[rank]
 		}
 		evs := make([]*codegen.Evaluator, lanes)
@@ -285,16 +210,33 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 		lane := c.Lane()
 		useLane := lane != nil && lanes == 1 // spans can't interleave across lanes
 
-		set := sched.NewStealSet(sched.LaneSplit(plans[rank], lanes), sc.Steal).
+		items := plans[rank]
+		// attempt0 is the injector attempt index of the per-item solves:
+		// 0 normally, 1 after a batch→serial degrade (the batched solve
+		// consumed attempt 0, so one-attempt schedules don't re-fire on
+		// the fallback while persistent ones still surface).
+		attempt0 := 0
+		if e.useBatch() && len(items) > 0 {
+			var degraded bool
+			var err error
+			items, degraded, err = e.solveRankBatch(items, k, pool, contrib, m, itemOps, succOps, call, rank, lane)
+			if degraded {
+				attempt0 = 1
+			}
+			if err != nil {
+				noteErr(err)
+			}
+		}
+		set := sched.NewStealSet(sched.LaneSplit(items, lanes), sc.Steal).
 			WithBudget(e.cfg.Budget)
-		set.Run(func(laneIdx int, it sched.Item, victim int) {
+		set.Run(func(laneIdx int, it sched.Item, _ int) {
 			f := e.files[it.File]
 			block := contrib[it.File*m : (it.File+1)*m]
 			ev := evs[laneIdx]
-			// Injected lane slowdowns inflate the cost this lane *reports*
-			// — exactly how a chronically slow worker looks to the cost
+			// Injected slowdowns inflate the cost an item *reports* —
+			// exactly how a chronically slow worker looks to the cost
 			// model and the virtual-clock replay.
-			slow := e.laneSlowdown(call, rank, laneIdx)
+			slow := e.laneSlowdown(call, rank, laneIdx, it)
 			e.log.Debug("solve", "file solve",
 				"call", call, "rank", rank, "file", f.Name,
 				"lo", it.Lo, "hi", it.Hi)
@@ -306,8 +248,8 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 				// FT plans are whole-file items (splits forced off), so
 				// the retry/penalty fold covers exactly this block.
 				st, succ, retries, penalized := e.solveFileFT(ev, pool, f, k, scratch[laneIdx], block, call, rank, it.File)
-				localItem[it.Seq] = e.workOps(st) * slow
-				localSucc[it.Seq] = e.workOps(succ) * slow
+				itemOps[it.Seq] = e.workOps(st) * slow
+				succOps[it.Seq] = e.workOps(succ) * slow
 				e.met.fileSolves.Inc()
 				e.publishSolveStats(st)
 				e.met.retries.Add(int64(retries))
@@ -325,44 +267,41 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 			var st ode.Stats
 			err := error(nil)
 			if e.cfg.Faults != nil {
-				err = e.cfg.Faults.FileSolve(call, rank, it.File, 0)
+				err = e.cfg.Faults.FileSolve(call, rank, it.File, attempt0)
 			}
 			if err == nil {
 				st, err = e.solveFileRange(ev, pool, f, k, block, e.model.SolverOpts, it.Lo, it.Hi)
 			}
 			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("estimator: file %s: %w", f.Name, err)
-				}
-				errMu.Unlock()
+				noteErr(fmt.Errorf("estimator: file %s: %w", f.Name, err))
 			}
 			w := e.workOps(st) * slow
-			localItem[it.Seq] = w
-			localSucc[it.Seq] = w
+			itemOps[it.Seq] = w
+			succOps[it.Seq] = w
 			e.publishSolve(st)
 		})
 
-		// Per-item measurements fold into per-file arrays single-threaded
+		// Per-item measurements fold into per-file entries single-threaded
 		// (items steal only between a rank's own lanes, never across
 		// ranks, so this rank executed exactly its plan).
-		localTime := make([]float64, nf)
-		localSuccess := make([]float64, nf)
 		for _, it := range plans[rank] {
-			localTime[it.File] += localItem[it.Seq]
-			localSuccess[it.File] += localSucc[it.Seq]
+			buf[offFile+it.File] += itemOps[it.Seq]
+			buf[offSucc+it.File] += succOps[it.Seq]
 		}
-		gc := c.AllReduce(contrib, mpi.SumOp)
-		gt := c.AllReduce(localTime, mpi.SumOp)
-		gs := c.AllReduce(localSuccess, mpi.SumOp)
-		gi := c.AllReduce(localItem, mpi.SumOp)
+		g := c.AllReduce(buf, mpi.SumOp)
 		if rank == 0 {
-			copy(contribOut, gc)
-			copy(globalTime, gt)
-			copy(successTime, gs)
-			copy(itemOps, gi)
+			global = g
 		}
 		return nil
 	})
-	return contribOut, globalTime, successTime, itemOps, rep, firstErr
+	var res callResult
+	if global != nil {
+		res = callResult{
+			contrib:    global[:offFile],
+			fileOps:    global[offFile:offSucc],
+			successOps: global[offSucc:offItem],
+			itemOps:    global[offItem:],
+		}
+	}
+	return res, rep, firstErr
 }

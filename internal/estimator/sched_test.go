@@ -13,14 +13,13 @@ import (
 // splitting, two stealing lanes.
 func schedCfgFull() *sched.Config {
 	return &sched.Config{
-		Rebalance: true, Alpha: 0.5,
-		SplitShare: 0.25, MaxParts: 3,
+		Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
 		Lanes: 2, Steal: true,
 	}
 }
 
 // TestSchedObjectiveBitIdenticalToSerial is the core numerical claim:
-// the v2 scheduler path — re-planned, split, stolen — produces residuals
+// the EWMA scheduler — re-planned, split, stolen — produces residuals
 // bit-identical to the serial single-rank plain path, call after call.
 func TestSchedObjectiveBitIdenticalToSerial(t *testing.T) {
 	m := decayModel(t)
@@ -61,97 +60,51 @@ func TestSchedObjectiveBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestSchedRebalanceOffIsV1 pins "zero behavior change when Rebalance is
-// off": a Sched config with Rebalance false must leave the estimator on
-// the v1 path — same assignments, bit-identical residuals, no scheduler
-// state.
-func TestSchedRebalanceOffIsV1(t *testing.T) {
-	m := decayModel(t)
-	counts := []int{30, 10, 20, 15}
-	v1, err := New(m, makeFiles(1.0, counts), Config{Ranks: 2, LoadBalance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := New(m, makeFiles(1.0, counts), Config{
-		Ranks: 2, LoadBalance: true,
-		Sched: &sched.Config{Rebalance: false, Lanes: 4, Steal: true, SplitShare: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Plans() != nil || off.CostPredictions() != nil {
-		t.Fatal("Rebalance: off left scheduler state active")
-	}
-	for _, k := range []float64{1.0, 1.3} {
-		r1 := make([]float64, v1.ResidualDim())
-		r2 := make([]float64, off.ResidualDim())
-		if err := v1.Objective([]float64{k}, r1); err != nil {
-			t.Fatal(err)
-		}
-		if err := off.Objective([]float64{k}, r2); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r1, r2) {
-			t.Fatal("Rebalance: off residuals diverged from v1")
-		}
-		if !reflect.DeepEqual(v1.Assignment(), off.Assignment()) {
-			t.Fatal("Rebalance: off assignments diverged from v1")
-		}
-	}
-}
-
-// TestSchedPolicyLPTMatchesV1 holds the v2 machinery in PolicyLPT mode
-// to per-call parity with the v1 LoadBalance path: same measured file
-// costs, and plans that assign the same files to the same ranks.
-// Residuals are compared against the SERIAL path, not v1-multirank: v1
-// reduces rank-grouped partial sums, whose addition grouping shifts with
-// each rebalance, while the v2 path's file-ordered fold is bit-identical
-// to serial by construction — that order-independence is the fix.
-func TestSchedPolicyLPTMatchesV1(t *testing.T) {
+// TestPaperPoliciesBitIdenticalToSerial holds the paper's two Table 2
+// configurations — static blocks and LPT load balancing, multi-rank — to
+// the serial single-rank residuals bit for bit, call after call, as the
+// LPT re-plans move files between ranks. The LB plans must also be
+// exactly LPT over the measured file costs, whole files only.
+func TestPaperPoliciesBitIdenticalToSerial(t *testing.T) {
 	m := decayModel(t)
 	counts := []int{25, 10, 40, 5, 15}
 	serial, err := New(m, makeFiles(1.1, counts), Config{Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := New(m, makeFiles(1.1, counts), Config{Ranks: 3, LoadBalance: true})
+	static, err := New(m, makeFiles(1.1, counts), Config{Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := New(m, makeFiles(1.1, counts), Config{
-		Ranks: 3,
-		Sched: &sched.Config{Rebalance: true, Policy: sched.PolicyLPT},
-	})
+	lb, err := New(m, makeFiles(1.1, counts), Config{Ranks: 3, LoadBalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for call, k := range []float64{1.1, 1.4, 0.8} {
 		rs := make([]float64, serial.ResidualDim())
-		r1 := make([]float64, v1.ResidualDim())
-		r2 := make([]float64, v2.ResidualDim())
 		if err := serial.Objective([]float64{k}, rs); err != nil {
 			t.Fatal(err)
 		}
-		if err := v1.Objective([]float64{k}, r1); err != nil {
-			t.Fatal(err)
+		for _, e := range []*Estimator{static, lb} {
+			r := make([]float64, e.ResidualDim())
+			if err := e.Objective([]float64{k}, r); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r, rs) {
+				t.Fatalf("call %d, policy %s: residuals diverged from serial",
+					call, e.Snapshot().SchedPolicy)
+			}
 		}
-		if err := v2.Objective([]float64{k}, r2); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(lb.FileTimes(), serial.FileTimes()) {
+			t.Fatalf("call %d: measured file costs diverged from serial", call)
 		}
-		if !reflect.DeepEqual(r2, rs) {
-			t.Fatalf("call %d: sched residuals diverged from serial", call)
-		}
-		if !reflect.DeepEqual(v1.FileTimes(), v2.FileTimes()) {
-			t.Fatalf("call %d: measured file costs diverged", call)
-		}
-		// v1's next assignment vs the v2 plan's per-rank file lists.
-		want := v1.Assignment()
+		want := sched.LPT(lb.FileTimes(), 3)
 		got := make([][]int, 0, len(want))
-		for _, plan := range v2.Plans() {
+		for _, plan := range lb.Plans() {
 			fis := []int{}
 			for _, it := range plan {
 				if it.Lo != 0 || it.Hi != counts[it.File] {
-					t.Fatalf("call %d: PolicyLPT produced a split item %+v", call, it)
+					t.Fatalf("call %d: LoadBalance produced a split item %+v", call, it)
 				}
 				fis = append(fis, it.File)
 			}
@@ -163,7 +116,7 @@ func TestSchedPolicyLPTMatchesV1(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("call %d: plans %v, v1 assignment %v", call, got, want)
+			t.Fatalf("call %d: plans %v, LPT over measured costs %v", call, got, want)
 		}
 	}
 }
@@ -192,7 +145,7 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	e, err := New(m, makeFiles(1.0, counts), Config{
 		Ranks:         1, // single rank: the poisoned closure is not thread-safe
 		FaultTolerant: true,
-		Sched:         &sched.Config{Rebalance: true, Alpha: 0.5},
+		Sched:         &sched.Config{Alpha: 0.5},
 		Metrics:       reg,
 	})
 	if err != nil {
@@ -225,8 +178,8 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	}
 }
 
-// TestSchedEstimateRecoversRate runs a full fit through the v2 path —
-// the optimizer must converge to the true rate exactly as on v1.
+// TestSchedEstimateRecoversRate runs a full fit through the EWMA
+// scheduler — the optimizer must converge to the true rate.
 func TestSchedEstimateRecoversRate(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.5, []int{50, 8, 12, 6})

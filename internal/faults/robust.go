@@ -85,12 +85,13 @@ func (p *Plan) SlowLane(rank, lane int, factor float64) *Plan {
 	return p
 }
 
-// SlowLaneJitter makes every {rank, lane, call} independently slow with
-// the given probability, by a factor drawn uniformly from [1, maxFactor].
-// Decisions come from per-lane seeded streams (see laneUnit): each
-// {rank, lane} owns an independent derived stream, and draws are keyed by
-// the objective call, so the schedule is identical no matter how lanes
-// interleave — chaos runs stay deterministic under -race.
+// SlowLaneJitter makes every {call, file, item} solve independently slow
+// with the given probability, by a factor drawn uniformly from
+// [1, maxFactor]. Draws are keyed by what is being solved — the objective
+// call, the data file and the first record of the item — never by the
+// rank or lane that happens to execute it, so the injected costs are the
+// same under any schedule, steal order or lane interleaving, and chaos
+// runs stay deterministic under -race.
 func (p *Plan) SlowLaneJitter(rate, maxFactor float64) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -102,10 +103,12 @@ func (p *Plan) SlowLaneJitter(rate, maxFactor float64) *Plan {
 	return p
 }
 
-// LaneSlowdown returns the multiplicative cost inflation for a solve run
-// by {rank, lane} during the given objective call (1 = no slowdown).
-// Persistent SlowLane factors stack with jittered draws.
-func (p *Plan) LaneSlowdown(call, rank, lane int) float64 {
+// LaneSlowdown returns the multiplicative cost inflation for the solve of
+// the item starting at record lo of file during the given objective
+// call, executed by {rank, lane} (1 = no slowdown). Persistent SlowLane
+// factors follow the executing lane — a fact of the plan when stealing
+// is off — and stack with the schedule-independent jittered draws.
+func (p *Plan) LaneSlowdown(call, rank, lane, file, lo int) float64 {
 	if p == nil {
 		return 1
 	}
@@ -117,23 +120,20 @@ func (p *Plan) LaneSlowdown(call, rank, lane int) float64 {
 		p.counts.SlowLanes++
 	}
 	if p.slowRate > 0 {
-		if p.laneUnit(rank, lane, int64(call), 0) < p.slowRate {
-			f *= 1 + (p.slowMax-1)*p.laneUnit(rank, lane, int64(call), 1)
+		if p.itemUnit(call, file, lo, 0) < p.slowRate {
+			f *= 1 + (p.slowMax-1)*p.itemUnit(call, file, lo, 1)
 			p.counts.SlowLanes++
 		}
 	}
 	return f
 }
 
-// laneUnit draws a uniform [0, 1) value from the {rank, lane} stream at
-// the position keyed by ids. Each lane's stream seed is derived by mixing
-// the plan seed with the lane coordinates, so streams are independent per
-// lane; positions are keyed (not counted), so a draw's value depends only
-// on what is being decided, never on how many decisions other lanes made
-// first. Callers hold p.mu.
-func (p *Plan) laneUnit(rank, lane int, ids ...int64) float64 {
-	parts := append([]int64{p.seed, 0x5157, int64(rank), int64(lane)}, ids...)
-	return hashUnit(parts...)
+// itemUnit draws a uniform [0, 1) value keyed by {call, file, lo} and a
+// draw index. Positions are keyed (not counted), so a draw's value
+// depends only on what is being decided, never on how many decisions
+// other lanes made first. Callers hold p.mu.
+func (p *Plan) itemUnit(call, file, lo int, draw int64) float64 {
+	return hashUnit(p.seed, 0x5157, int64(call), int64(file), int64(lo), draw)
 }
 
 // PlanState is the JSON-serializable snapshot of a Plan's mutable state:

@@ -44,12 +44,16 @@ func TestPoolFaultIsOneShot(t *testing.T) {
 	}
 }
 
-// Per-lane streams must make slowdown decisions independent of the order
-// in which lanes (goroutines) reach the injection point.
+// Jitter draws are keyed by the item solved, so slowdown decisions are
+// independent both of the order in which lanes (goroutines) reach the
+// injection point and of which {rank, lane} executes an item — the
+// property that keeps steal-timing out of the injected costs.
 func TestLaneSlowdownScheduleIndependent(t *testing.T) {
-	draw := func(order []int) map[int]float64 {
+	// draw runs 4 lanes concurrently; lane l executes the files owner
+	// maps to it, so two owner maps are two different schedules.
+	draw := func(order []int, owner func(file int) int) map[[2]int]float64 {
 		p := NewPlan(42).SlowLaneJitter(0.5, 4)
-		out := make(map[int]float64)
+		out := make(map[[2]int]float64)
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		for _, lane := range order {
@@ -57,38 +61,48 @@ func TestLaneSlowdownScheduleIndependent(t *testing.T) {
 			go func(l int) {
 				defer wg.Done()
 				for call := 0; call < 8; call++ {
-					f := p.LaneSlowdown(call, 0, l)
-					mu.Lock()
-					out[l*100+call] = f
-					mu.Unlock()
+					for file := 0; file < 8; file++ {
+						if owner(file) != l {
+							continue
+						}
+						f := p.LaneSlowdown(call, l%2, l, file, 3*file)
+						mu.Lock()
+						out[[2]int{call, file}] = f
+						mu.Unlock()
+					}
 				}
 			}(lane)
 		}
 		wg.Wait()
 		return out
 	}
-	a := draw([]int{0, 1, 2, 3})
-	b := draw([]int{3, 2, 1, 0})
-	if len(a) != len(b) {
-		t.Fatalf("draw counts differ: %d vs %d", len(a), len(b))
+	a := draw([]int{0, 1, 2, 3}, func(file int) int { return file % 4 })
+	b := draw([]int{3, 2, 1, 0}, func(file int) int { return (file / 2) % 4 })
+	if len(a) != 64 || len(b) != 64 {
+		t.Fatalf("draw counts: %d and %d, want 64", len(a), len(b))
 	}
+	slowed := 0
 	for k, v := range a {
 		if b[k] != v {
-			t.Fatalf("lane %d call %d: %g vs %g under different interleavings", k/100, k%100, v, b[k])
+			t.Fatalf("call %d file %d: %g vs %g under different schedules", k[0], k[1], v, b[k])
+		}
+		if v > 1 {
+			slowed++
 		}
 	}
-	// Distinct lanes must see distinct streams.
-	if a[0*100+0] == a[1*100+0] && a[0*100+1] == a[1*100+1] && a[0*100+2] == a[1*100+2] {
-		t.Fatal("lanes 0 and 1 drew identical streams")
+	// Distinct items must see distinct draws: at rate 0.5 over 64 items,
+	// some are slowed and some are not.
+	if slowed == 0 || slowed == len(a) {
+		t.Fatalf("%d of %d items slowed at rate 0.5", slowed, len(a))
 	}
 }
 
 func TestPersistentSlowLaneStacks(t *testing.T) {
 	p := NewPlan(7).SlowLane(1, 2, 3.5)
-	if f := p.LaneSlowdown(0, 1, 2); f != 3.5 {
+	if f := p.LaneSlowdown(0, 1, 2, 0, 0); f != 3.5 {
 		t.Fatalf("factor = %g, want 3.5", f)
 	}
-	if f := p.LaneSlowdown(0, 0, 0); f != 1 {
+	if f := p.LaneSlowdown(0, 0, 0, 0, 0); f != 1 {
 		t.Fatalf("unscheduled lane slowed: %g", f)
 	}
 	if p.Counts().SlowLanes == 0 {
@@ -150,7 +164,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Jittered slow-lane decisions must agree across the restore.
 	for call := 0; call < 6; call++ {
-		if p.LaneSlowdown(call, 0, 3) != p2.LaneSlowdown(call, 0, 3) {
+		if p.LaneSlowdown(call, 0, 3, 1, 0) != p2.LaneSlowdown(call, 0, 3, 1, 0) {
 			t.Fatalf("slow-lane draw diverged at call %d", call)
 		}
 	}

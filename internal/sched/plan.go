@@ -5,13 +5,12 @@ import (
 	"sort"
 )
 
-// LPT is the deterministic longest-processing-time assignment from the
-// v1 load balancer: items sorted by cost non-increasing (ties broken by
-// lower index), each placed on the currently least-loaded rank (ties
-// broken by lower rank). Returns per-rank item-index lists in placement
-// order. This is the exact algorithm estimator.AssignLPT shipped in
-// PR 1; the estimator now delegates here, and the parity property test
-// holds Plan with a constant cost model to this function's output.
+// LPT is the paper's deterministic longest-processing-time assignment:
+// items sorted by cost non-increasing (ties broken by lower index), each
+// placed on the currently least-loaded rank (ties broken by lower rank).
+// Returns per-rank item-index lists in placement order. The parity
+// property test holds Plan with a constant cost model to this
+// function's output.
 func LPT(costs []float64, ranks int) [][]int {
 	order := make([]int, len(costs))
 	for i := range order {
@@ -125,7 +124,29 @@ func PlanItems(items []Item, ranks int) [][]Item {
 	return out
 }
 
-// Plan is the full v2 planning step: split dominant files per cfg, then
+// Block is the static distribution of Fig. 9's BLOCK_SIZE(): contiguous,
+// near-equal runs of whole files per rank (the first nFiles%ranks ranks
+// take one extra file). recs[i] is file i's record count; it bounds the
+// item and is its cost, as in the cost model's seed. Seq is the file
+// index, which is also the placement order.
+func Block(recs []int, ranks int) [][]Item {
+	out := make([][]Item, ranks)
+	base, rem := len(recs)/ranks, len(recs)%ranks
+	fi := 0
+	for r := range out {
+		n := base
+		if r < rem {
+			n++
+		}
+		for ; n > 0; n-- {
+			out[r] = append(out[r], Item{File: fi, Hi: recs[fi], Cost: float64(recs[fi]), Seq: fi})
+			fi++
+		}
+	}
+	return out
+}
+
+// Plan is the full planning step: split dominant files per cfg, then
 // LPT the resulting items across ranks. Returns the per-rank plans and
 // the number of files that were split.
 func Plan(costs []float64, recs []int, ranks int, cfg Config) ([][]Item, int) {

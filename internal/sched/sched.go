@@ -1,16 +1,17 @@
-// Package sched is dynamic load balancing v2: the cost-model-driven
-// scheduler that replaces the paper's static-per-call LPT assignment
-// (Fig. 9, Table 2) with the runtime-rebalancing posture of the DLBFoam
-// line of work. Three mechanisms compose:
+// Package sched is the estimator's load balancer: the cost-model-driven
+// scheduler that runs the paper's static and dynamic load balancing
+// (Fig. 9, Table 2) and the runtime-rebalancing posture of the DLBFoam
+// line of work as policies of one mechanism. Three parts compose:
 //
 //   - a persistent per-item cost model (CostModel), seeded from the
 //     static a-priori estimate — record counts, the only thing the
 //     paper's balancer knows before the first call — and updated after
 //     every objective call with an EWMA of measured solve costs;
 //   - a planner (Plan) that re-assigns items to ranks between calls by
-//     LPT over the model's predictions, optionally splitting a dominant
-//     item into record sub-ranges when its predicted cost exceeds a
-//     configurable share of the total;
+//     LPT over the policy's costs, optionally splitting a dominant item
+//     into record sub-ranges when its predicted cost exceeds a
+//     configurable share of the total; Block is Fig. 9's contiguous
+//     static distribution;
 //   - an intra-rank work-stealing executor (StealSet): one deque per
 //     lane, lanes pop their own front and, when dry, steal from the back
 //     of the busiest victim's deque under a lock.
@@ -35,14 +36,14 @@ type Policy int
 
 const (
 	// PolicyEWMA re-plans on the EWMA cost model's predictions and may
-	// split dominant items — dynamic load balancing v2 (the default).
+	// split dominant items (the default).
 	PolicyEWMA Policy = iota
-	// PolicyStatic plans once from the seed estimates and never
-	// re-plans: the paper's static LPT baseline, at file granularity.
+	// PolicyStatic never re-plans: the initial plan runs every call —
+	// the paper's static baseline, at file granularity.
 	PolicyStatic
 	// PolicyLPT re-plans every call by LPT over the raw last-measured
-	// costs, with no smoothing and no splitting — exact parity with the
-	// PR 1 dynamic load balancer, expressed on the v2 machinery.
+	// costs, with no smoothing and no splitting — the paper's dynamic
+	// load balancing algorithm.
 	PolicyLPT
 )
 
@@ -71,13 +72,9 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("sched: unknown policy %q", s)
 }
 
-// Config shapes the v2 scheduler. The zero value is NOT enabled: the
-// estimator treats a nil config or Rebalance: false as "keep the v1
-// behavior exactly".
+// Config shapes the scheduler. The zero value is the EWMA policy on one
+// lane without splitting or stealing.
 type Config struct {
-	// Rebalance is the master switch. Off means the owning component
-	// must behave exactly as if no scheduler were configured.
-	Rebalance bool
 	// Policy selects the re-planning rule (default PolicyEWMA).
 	Policy Policy
 	// Alpha is the EWMA weight of a new measurement in (0, 1]; 0 takes
@@ -118,8 +115,8 @@ func (c Config) WithDefaults() Config {
 		c.Lanes = 1
 	}
 	if c.Policy == PolicyLPT || c.Policy == PolicyStatic {
-		// v1 parity and the static baseline are file-granularity
-		// policies: they never split.
+		// The paper's two balancers are file-granularity policies:
+		// they never split.
 		c.SplitShare = 0
 	}
 	return c

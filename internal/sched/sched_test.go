@@ -218,7 +218,7 @@ func TestSplitDominant(t *testing.T) {
 }
 
 func TestWithDefaults(t *testing.T) {
-	c := Config{Rebalance: true, SplitShare: 0.25}.WithDefaults()
+	c := Config{SplitShare: 0.25}.WithDefaults()
 	if c.Alpha != 0.3 || c.MaxParts != 4 || c.Lanes != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}

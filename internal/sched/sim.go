@@ -90,7 +90,7 @@ type Round struct {
 	RelErrs     []float64   // per-file relative prediction error this call
 }
 
-// Replay drives the full v2 loop — plan, simulate, observe, re-plan —
+// Replay drives the full scheduling loop — plan, simulate, observe, re-plan —
 // over a scripted cost trace, entirely under the virtual clock. recs[i]
 // is file i's record count (also the model seed, as in the estimator);
 // trace[r][i] is file i's "true" whole-file cost during round r, with

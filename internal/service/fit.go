@@ -75,8 +75,7 @@ func (s *SchedSpec) toConfig() (*sched.Config, error) {
 		return nil, nil
 	}
 	cfg := &sched.Config{
-		Rebalance: true, Alpha: s.Alpha,
-		SplitShare: s.SplitShare, MaxParts: s.MaxParts,
+		Alpha: s.Alpha, SplitShare: s.SplitShare, MaxParts: s.MaxParts,
 		Lanes: s.Lanes, Steal: s.Steal,
 	}
 	if s.Policy != "" {

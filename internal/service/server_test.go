@@ -239,7 +239,9 @@ func TestAdmissionControl(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{QueueCap: 1, Workers: 1})
 
 	release := make(chan struct{})
-	running := make(chan struct{})
+	// Buffered so the first job's start signal is kept even when the
+	// worker reaches it before the test goroutine waits on it.
+	running := make(chan struct{}, 1)
 	block := func(j *Job) (any, error) {
 		select {
 		case running <- struct{}{}:
@@ -343,6 +345,37 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestFitRejectsConflictingFlags: a fit request whose estimator flags
+// cannot all take effect fails with the estimator's conflict error
+// instead of running with one flag dropped.
+func TestFitRejectsConflictingFlags(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{QueueCap: 4, Workers: 1})
+	df := DataFile{Name: "d", T: []float64{0.5, 1}, V: []float64{1, 1}}
+	cases := []struct {
+		name string
+		req  FitRequest
+		want string
+	}{
+		{"lb+sched", FitRequest{Ranks: 2, LoadBalance: true, Sched: &SchedSpec{Policy: "lpt"}},
+			"estimator: conflicting config: LoadBalance with Sched"},
+		{"batch+lanes", FitRequest{Ranks: 2, Batch: true, Sched: &SchedSpec{Lanes: 2}},
+			"estimator: conflicting config: Batch with Sched lanes 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.req
+			req.Spec = &ModelSpec{Kind: KindRDL, Source: testModel, RCIP: "K_d = 2"}
+			req.Data = []DataFile{df, df}
+			req.Property = "sum"
+			req.Start, req.Lower, req.Upper = []float64{1}, []float64{0.2}, []float64{20}
+			jv := decodeJob(t, postJSON(t, ts.URL+"/v1/fit?wait=1", req), "failed", nil)
+			if !strings.Contains(jv.Error, tc.want) {
+				t.Fatalf("error %q, want it to contain %q", jv.Error, tc.want)
+			}
+		})
 	}
 }
 

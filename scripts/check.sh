@@ -2,10 +2,11 @@
 # Repository checks: vet everything, race-test the concurrency-heavy
 # packages (the simulated MPI runtime, the worker pool, the parallel
 # estimator) and the numerical core the sparse Jacobian path touches
-# (solver, linear algebra), give both parser fuzzers a short smoke run,
-# then run the cross-stack conformance matrix (docs/testing.md). Run
-# from the repository root; the full serial test suite is
-# `go test ./...`.
+# (solver, linear algebra), repeat the scheduling and fault-injection
+# packages to catch timing-dependent results, give both parser fuzzers a
+# short smoke run, then run the cross-stack conformance matrix
+# (docs/testing.md). Run from the repository root; the full serial test
+# suite is `go test ./...`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,6 +19,14 @@ go test -race ./internal/mpi/... ./internal/parallel/... ./internal/estimator/..
 	./internal/sched/... ./internal/ode/... ./internal/linalg/... \
 	./internal/telemetry/... ./internal/introspect/... ./internal/codegen/... \
 	./internal/service/... ./cmd/rmsd/...
+
+# Repetition sweep: a determinism claim that holds on most runs but not
+# all (a result that depends on goroutine timing) fails here fast.
+echo "== repetition sweep (estimator, sched, faults, service: -count=20, then -race -count=20)"
+go test -count=20 ./internal/estimator/... ./internal/sched/... \
+	./internal/faults/... ./internal/service/...
+go test -race -count=20 ./internal/estimator/... ./internal/sched/... \
+	./internal/faults/... ./internal/service/...
 
 echo "== introspection endpoints smoke (rmssim -listen)"
 ./scripts/introspect_smoke.sh
