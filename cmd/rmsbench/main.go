@@ -94,7 +94,7 @@ func main() {
 	flag.IntVar(&cfg.variants, "variants", 0, "-parallel/-sparse: system size (0 = defaults)")
 	flag.IntVar(&cfg.evalMs, "evalms", 300, "milliseconds of timing per configuration")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit machine-readable JSON results on stdout")
-	flag.StringVar(&trace, "trace", "", "write a Chrome trace-event file of the estimator-driven benches")
+	flag.StringVar(&trace, "trace", "", "write a Chrome trace-event file (compiler phases of -table 1 and -sparse)")
 	flag.BoolVar(&metrics, "metrics", false, "print the telemetry metrics registry after the run")
 	flag.StringVar(&pprof, "pprof", "", "serve net/http/pprof on this address")
 	flag.StringVar(&cpuProf, "cpuprofile", "", "write a CPU profile to this file")
@@ -147,6 +147,7 @@ func run(w io.Writer, cfg benchConfig) error {
 		rows, err := bench.Table1(bench.Table1Config{
 			Paper:       cfg.full,
 			MinEvalTime: time.Duration(cfg.evalMs) * time.Millisecond,
+			Trace:       ins.Tracer.Lane("compile"),
 		})
 		if err != nil {
 			return err
@@ -208,7 +209,7 @@ func run(w io.Writer, cfg benchConfig) error {
 	}
 	if cfg.sparse {
 		did = true
-		sc := bench.SparseConfig{}
+		sc := bench.SparseConfig{Trace: ins.Tracer.Lane("compile")}
 		if cfg.variants > 0 {
 			sc.Variants = []int{cfg.variants}
 		}

@@ -61,6 +61,9 @@ type Table1Config struct {
 	MinEvalTime time.Duration
 	// Cases restricts the run (nil = all five).
 	Cases []vulcan.Case
+	// Trace, when non-nil, records the compiler-phase spans of every
+	// scaled-size compilation on the lane (core.Config.Trace).
+	Trace *telemetry.Lane
 }
 
 // Table1 builds each test case and measures the Table 1 quantities.
@@ -113,7 +116,7 @@ func table1Case(c vulcan.Case, variants int, cfg Table1Config) (Table1Row, error
 	if err != nil {
 		return row, err
 	}
-	raw, err := core.CompileNetwork(net, core.Config{Optimize: opt.Options{}})
+	raw, err := core.CompileNetwork(net, core.Config{Optimize: opt.Options{}, Trace: cfg.Trace})
 	if err != nil {
 		return row, err
 	}
@@ -121,7 +124,7 @@ func table1Case(c vulcan.Case, variants int, cfg Table1Config) (Table1Row, error
 	if err != nil {
 		return row, err
 	}
-	full, err := core.CompileNetwork(net2, core.Config{Optimize: opt.Full()})
+	full, err := core.CompileNetwork(net2, core.Config{Optimize: opt.Full(), Trace: cfg.Trace})
 	if err != nil {
 		return row, err
 	}

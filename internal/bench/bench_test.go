@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"rms/internal/ode"
 	"rms/internal/opt"
 	"rms/internal/parallel"
+	"rms/internal/telemetry"
 	"rms/internal/vulcan"
 )
 
@@ -43,6 +46,55 @@ func TestTable1SmallRun(t *testing.T) {
 	for _, want := range []string{"case1", "case2", "capacity at -O0", "(paper, full scale)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatTable1 missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCompileSpansTraced checks that a traced Table 1 case and a traced
+// sparse case record their compilations' phase spans on the lane they
+// are given, as read back from the Chrome trace rmsbench -trace writes.
+func TestCompileSpansTraced(t *testing.T) {
+	spans := func(tr *telemetry.Tracer) map[string]int {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct{ Name, Ph string }
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		n := make(map[string]int)
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "X" {
+				n[e.Name]++
+			}
+		}
+		return n
+	}
+
+	tr := telemetry.NewTracer()
+	if _, err := Table1(Table1Config{MinEvalTime: time.Millisecond, Cases: vulcan.Cases[:1],
+		Trace: tr.Lane("compile")}); err != nil {
+		t.Fatal(err)
+	}
+	got := spans(tr)
+	for _, name := range []string{"equation generation", "optimize", "codegen"} {
+		if got[name] != 2 { // the raw and the optimized compilation
+			t.Errorf("Table 1: %d %q spans, want 2 (spans %v)", got[name], name, got)
+		}
+	}
+
+	tr = telemetry.NewTracer()
+	if _, err := SparseCompare(SparseConfig{Variants: []int{24}, Reps: 1, Trace: tr.Lane("compile")}); err != nil {
+		t.Fatal(err)
+	}
+	got = spans(tr)
+	for _, name := range []string{"equation generation", "optimize", "codegen", "jacobian compilation"} {
+		if got[name] != 1 {
+			t.Errorf("sparse: %d %q spans, want 1 (spans %v)", got[name], name, got)
 		}
 	}
 }

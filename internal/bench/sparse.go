@@ -9,6 +9,7 @@ import (
 	"rms/internal/core"
 	"rms/internal/linalg"
 	"rms/internal/opt"
+	"rms/internal/telemetry"
 	"rms/internal/vulcan"
 )
 
@@ -50,6 +51,9 @@ type SparseConfig struct {
 	// Reps is the number of timed build+factor repetitions per path
 	// (default 3; the minimum is reported).
 	Reps int
+	// Trace, when non-nil, records each compilation's compiler-phase
+	// spans, Jacobian compilation included, on the lane.
+	Trace *telemetry.Lane
 }
 
 // SparseCompare compiles each vulcanization system with its analytic
@@ -66,7 +70,7 @@ func SparseCompare(cfg SparseConfig) ([]SparseRow, error) {
 	}
 	var rows []SparseRow
 	for _, v := range cfg.Variants {
-		row, err := sparseCase(v, cfg.Reps)
+		row, err := sparseCase(v, cfg.Reps, cfg.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sparse %d variants: %w", v, err)
 		}
@@ -75,13 +79,13 @@ func SparseCompare(cfg SparseConfig) ([]SparseRow, error) {
 	return rows, nil
 }
 
-func sparseCase(variants, reps int) (SparseRow, error) {
+func sparseCase(variants, reps int, trace *telemetry.Lane) (SparseRow, error) {
 	net, err := vulcan.Network(variants)
 	if err != nil {
 		return SparseRow{}, err
 	}
 	res, err := core.CompileNetwork(net, core.Config{
-		Optimize: opt.Full(), AnalyticJacobian: true,
+		Optimize: opt.Full(), AnalyticJacobian: true, Trace: trace,
 	})
 	if err != nil {
 		return SparseRow{}, err

@@ -1,8 +1,11 @@
 package chem
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -14,101 +17,154 @@ import (
 // re-refining (the standard canonical-labeling device). The result maps
 // each atom to a dense rank; equal molecules (up to graph isomorphism over
 // our invariants) receive identical rank structures.
-func canonicalRanks(m *Molecule) []int {
+//
+// Ranks order atoms by byte strings: the initial invariant
+// "element|Hs|charge|class|degree|bond-order sum" and the refinement key
+// "rank|order:rank,order:rank,..." (neighbor tokens sorted as strings),
+// all numbers in decimal. Keys compare as strings, so rank 10 sorts
+// before rank 9; canonical SMILES, and with them species identity, depend
+// on exactly this order.
+//
+// adj, deg and sums are the atoms' bond lists, degrees and bond-order
+// sums (see bondLists).
+func canonicalRanks(m *Molecule, adj [][]Bond, deg, sums []int) []int {
 	n := len(m.Atoms)
 	if n == 0 {
 		return nil
 	}
-	// Initial invariant string per atom.
-	inv := make([]string, n)
+	keys := rankKeys{buf: make([]byte, 0, 16*n), end: make([]int, 0, n), sorted: make([]rankKey, 0, n)}
 	for i, a := range m.Atoms {
-		inv[i] = fmt.Sprintf("%s|%d|%d|%d|%d|%d",
-			a.Element, a.Hs, a.Charge, a.Class, len(m.Neighbors(i)), m.BondOrderSum(i))
+		k := append(keys.buf, a.Element...)
+		for _, v := range [...]int{a.Hs, a.Charge, a.Class, deg[i], sums[i]} {
+			k = strconv.AppendInt(append(k, '|'), int64(v), 10)
+		}
+		keys.buf = k
+		keys.end = append(keys.end, len(k))
 	}
-	ranks := denseRanks(inv)
+	ranks, spare := make([]int, n), make([]int, n)
+	d := keys.dense(ranks)
 
-	adj := make([][]Bond, n)
-	for _, b := range m.Bonds {
-		adj[b.A] = append(adj[b.A], b)
-		adj[b.B] = append(adj[b.B], b)
-	}
-
-	refine := func(r []int) []int {
+	// refine absorbs neighbor ranks until the number of distinct ranks
+	// stops growing; r holds d distinct ranks on entry.
+	var tbuf []byte  // one atom's neighbor tokens, back to back
+	var tend []int   // token j of tbuf ends at tend[j]
+	var tok [][]byte // the tokens, sorted
+	refine := func(r []int, d int) ([]int, int) {
 		for {
-			next := make([]string, n)
-			for i := range next {
-				var nb []string
+			keys.reset()
+			for i := 0; i < n; i++ {
+				tbuf, tend, tok = tbuf[:0], tend[:0], tok[:0]
 				for _, b := range adj[i] {
-					nb = append(nb, fmt.Sprintf("%d:%d", b.Order, r[b.Other(i)]))
+					tbuf = strconv.AppendInt(tbuf, int64(b.Order), 10)
+					tbuf = strconv.AppendInt(append(tbuf, ':'), int64(r[b.Other(i)]), 10)
+					tend = append(tend, len(tbuf))
 				}
-				sort.Strings(nb)
-				next[i] = fmt.Sprintf("%d|%s", r[i], strings.Join(nb, ","))
+				lo := 0
+				for _, hi := range tend {
+					tok = append(tok, tbuf[lo:hi])
+					lo = hi
+				}
+				slices.SortFunc(tok, bytes.Compare)
+				k := strconv.AppendInt(keys.buf, int64(r[i]), 10)
+				k = append(k, '|')
+				for j, t := range tok {
+					if j > 0 {
+						k = append(k, ',')
+					}
+					k = append(k, t...)
+				}
+				keys.buf = k
+				keys.end = append(keys.end, len(k))
 			}
-			nr := denseRanks(next)
-			if countDistinct(nr) == countDistinct(r) {
-				return nr
+			nr := spare
+			nd := keys.dense(nr)
+			spare = r
+			if nd == d {
+				return nr, nd
 			}
-			r = nr
+			r, d = nr, nd
 		}
 	}
-	ranks = refine(ranks)
+	ranks, d = refine(ranks, d)
 
-	// Tie-breaking until all ranks distinct.
-	for countDistinct(ranks) < n {
+	// Tie-breaking until all ranks distinct. Ranks are dense, 0..d-1.
+	count := make([]int, n)
+	for d < n {
 		// Find the first tied cell (smallest rank value with >1 member),
-		// promote its lowest-index member.
-		byRank := make(map[int][]int)
-		for i, r := range ranks {
-			byRank[r] = append(byRank[r], i)
+		// promote its lowest-index member: shift all ranks >= r up by one,
+		// give that member rank r, leave the rest of the cell at r+1.
+		clear(count)
+		for _, r := range ranks {
+			count[r]++
 		}
-		var rankVals []int
-		for r := range byRank {
-			rankVals = append(rankVals, r)
+		r := 0
+		for count[r] < 2 {
+			r++
 		}
-		sort.Ints(rankVals)
-		for _, r := range rankVals {
-			cell := byRank[r]
-			if len(cell) > 1 {
-				sort.Ints(cell)
-				// Promote: shift all ranks >= r up by one, give cell[0] rank r,
-				// leave the rest at r+1.
-				for i := range ranks {
-					if ranks[i] > r || (ranks[i] == r && i != cell[0]) {
-						ranks[i]++
-					}
-				}
-				break
+		first := slices.Index(ranks, r)
+		for i := range ranks {
+			if ranks[i] > r || (ranks[i] == r && i != first) {
+				ranks[i]++
 			}
 		}
-		ranks = refine(ranks)
+		ranks, d = refine(ranks, d+1)
 	}
 	return ranks
 }
 
-func denseRanks(keys []string) []int {
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	pos := make(map[string]int, len(sorted))
-	d := 0
-	for i, k := range sorted {
-		if i == 0 || k != sorted[i-1] {
-			pos[k] = d
-			d++
+// bondLists returns each atom's bonds, its degree (the number of atoms
+// bonded to it) and its bond-order sum (BondOrderSum) in one pass over
+// the bonds.
+func bondLists(m *Molecule) (adj [][]Bond, deg, sums []int) {
+	n := len(m.Atoms)
+	adj, deg, sums = make([][]Bond, n), make([]int, n), make([]int, n)
+	for _, b := range m.Bonds {
+		adj[b.A] = append(adj[b.A], b)
+		adj[b.B] = append(adj[b.B], b)
+		deg[b.A]++
+		sums[b.A] += b.Order
+		if b.B != b.A {
+			deg[b.B]++
+			sums[b.B] += b.Order
 		}
 	}
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = pos[k]
-	}
-	return out
+	return adj, deg, sums
 }
 
-func countDistinct(r []int) int {
-	seen := make(map[int]bool, len(r))
-	for _, v := range r {
-		seen[v] = true
+// rankKeys holds one byte-string key per atom, back to back in buf;
+// key i ends at end[i].
+type rankKeys struct {
+	buf    []byte
+	end    []int
+	sorted []rankKey
+}
+
+type rankKey struct {
+	key  []byte
+	atom int
+}
+
+func (k *rankKeys) reset() { k.buf, k.end = k.buf[:0], k.end[:0] }
+
+// dense writes each key's dense rank — the number of distinct keys that
+// sort before it as strings — into out and returns the number of
+// distinct keys.
+func (k *rankKeys) dense(out []int) int {
+	k.sorted = k.sorted[:0]
+	lo := 0
+	for i, hi := range k.end {
+		k.sorted = append(k.sorted, rankKey{k.buf[lo:hi], i})
+		lo = hi
 	}
-	return len(seen)
+	slices.SortFunc(k.sorted, func(a, b rankKey) int { return bytes.Compare(a.key, b.key) })
+	d := 0
+	for j, s := range k.sorted {
+		if j > 0 && !bytes.Equal(s.key, k.sorted[j-1].key) {
+			d++
+		}
+		out[s.atom] = d
+	}
+	return d + 1
 }
 
 // Canonical returns the canonical SMILES of the molecule. Two molecules
@@ -141,7 +197,8 @@ func writeCanonicalFragment(m *Molecule) string {
 	if n == 0 {
 		return ""
 	}
-	ranks := canonicalRanks(m)
+	adj, deg, sums := bondLists(m)
+	ranks := canonicalRanks(m, adj, deg, sums)
 
 	// Root: the atom with the smallest canonical rank.
 	root := 0
@@ -151,11 +208,6 @@ func writeCanonicalFragment(m *Molecule) string {
 		}
 	}
 
-	adj := make([][]Bond, n)
-	for _, b := range m.Bonds {
-		adj[b.A] = append(adj[b.A], b)
-		adj[b.B] = append(adj[b.B], b)
-	}
 	for i := range adj {
 		bs := adj[i]
 		sort.Slice(bs, func(x, y int) bool { return ranks[bs[x].Other(i)] < ranks[bs[y].Other(i)] })
@@ -209,7 +261,7 @@ func writeCanonicalFragment(m *Molecule) string {
 		} else if viaOrder == 3 {
 			sb.WriteByte('#')
 		}
-		sb.WriteString(atomSMILES(m, v))
+		sb.WriteString(atomSMILES(m.Atoms[v], sums[v]))
 		for _, r := range ringAt[v] {
 			if r.order == 2 {
 				sb.WriteByte('=')
@@ -265,11 +317,10 @@ func edgeKey(a, b int) [2]int {
 // atomSMILES writes one atom, using the bare organic-subset form whenever
 // the implicit-hydrogen rule would reconstruct the stored hydrogen count,
 // and a bracket atom otherwise.
-func atomSMILES(m *Molecule, i int) string {
-	a := m.Atoms[i]
+func atomSMILES(a Atom, bondSum int) string {
 	bare := organicSubset[a.Element] &&
 		a.Charge == 0 && a.Class == 0 &&
-		a.Hs == implicitHs(a.Element, m.BondOrderSum(i))
+		a.Hs == implicitHs(a.Element, bondSum)
 	if bare {
 		return string(a.Element)
 	}

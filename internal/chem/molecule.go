@@ -67,18 +67,31 @@ func (m *Molecule) BondBetween(i, j int) (Bond, bool) {
 	return Bond{}, false
 }
 
-// Neighbors returns the indices of atoms bonded to atom i, ascending.
-func (m *Molecule) Neighbors(i int) []int {
-	var ns []int
+// Adjacency returns, for every atom, the indices of the atoms bonded to
+// it in ascending order, built in one pass over the bonds.
+func (m *Molecule) Adjacency() [][]int {
+	deg := make([]int, len(m.Atoms))
 	for _, b := range m.Bonds {
-		if b.A == i {
-			ns = append(ns, b.B)
-		} else if b.B == i {
-			ns = append(ns, b.A)
+		deg[b.A]++
+		if b.B != b.A {
+			deg[b.B]++
 		}
 	}
-	sort.Ints(ns)
-	return ns
+	adj := make([][]int, len(m.Atoms))
+	flat := make([]int, 2*len(m.Bonds))
+	for i, d := range deg {
+		adj[i], flat = flat[:0:d], flat[d:]
+	}
+	for _, b := range m.Bonds {
+		adj[b.A] = append(adj[b.A], b.B)
+		if b.B != b.A {
+			adj[b.B] = append(adj[b.B], b.A)
+		}
+	}
+	for _, ns := range adj {
+		sort.Ints(ns)
+	}
+	return adj
 }
 
 // BondOrderSum returns the total bond order at atom i (excluding implicit
@@ -254,11 +267,11 @@ func (m *Molecule) Fragments() []*Molecule {
 	if n == 0 {
 		return nil
 	}
+	adj := m.Adjacency()
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1
 	}
-	var order []int
 	nc := 0
 	for i := 0; i < n; i++ {
 		if comp[i] >= 0 {
@@ -270,8 +283,7 @@ func (m *Molecule) Fragments() []*Molecule {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			order = append(order, v)
-			for _, w := range m.Neighbors(v) {
+			for _, w := range adj[v] {
 				if comp[w] < 0 {
 					comp[w] = nc
 					queue = append(queue, w)
@@ -280,7 +292,6 @@ func (m *Molecule) Fragments() []*Molecule {
 		}
 		nc++
 	}
-	_ = order
 	frags := make([]*Molecule, nc)
 	remap := make([]int, n)
 	for c := 0; c < nc; c++ {

@@ -187,23 +187,28 @@ type JacEntry struct {
 }
 
 // Jacobian differentiates every (merged) equation with respect to every
-// species its right-hand side references. Mass-action systems are sparse:
-// an equation only depends on the species participating in its reactions,
+// species its right-hand side references, one expr.Gradient pass per
+// equation. Entries are row-major, with each row's columns in the
+// equation's Variables() order. Mass-action systems are sparse: an
+// equation only depends on the species participating in its reactions,
 // so the entry list is far smaller than the dense n² matrix.
 func (s *System) Jacobian() []JacEntry {
 	index := s.SpeciesIndex()
 	var entries []JacEntry
+	var names []string
+	var cols []int
 	for row, eq := range s.Equations {
+		names, cols = names[:0], cols[:0]
 		for _, name := range eq.RHS.Variables() {
-			col, ok := index[name]
-			if !ok {
-				continue // rate constants are parameters, not state
+			if col, ok := index[name]; ok { // rate constants are parameters, not state
+				names = append(names, name)
+				cols = append(cols, col)
 			}
-			d := expr.DiffSum(eq.RHS, name)
-			if d.IsZero() {
-				continue
+		}
+		for i, d := range expr.Gradient(eq.RHS, names) {
+			if !d.IsZero() {
+				entries = append(entries, JacEntry{Row: row, Col: cols[i], RHS: d})
 			}
-			entries = append(entries, JacEntry{Row: row, Col: col, RHS: d})
 		}
 	}
 	return entries

@@ -83,3 +83,29 @@ func cloneEnv(env map[string]float64) map[string]float64 {
 	}
 	return out
 }
+
+// Property: each sum Gradient returns is the one DiffSum returns for its
+// variable, product for product and bit for bit, including the order the
+// products are stored in (Eval adds in that order).
+func TestGradientMatchesDiffSum(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomSum(rng, testNames)
+		s.AddSum(randomSum(rng, testNames))
+		wrt := s.Variables()
+		rng.Shuffle(len(wrt), func(i, j int) { wrt[i], wrt[j] = wrt[j], wrt[i] })
+		wrt = wrt[:rng.Intn(len(wrt)+1)]
+		env := randomEnv(rng, testNames)
+		for i, g := range Gradient(s, wrt) {
+			d := DiffSum(s, wrt[i])
+			if g.String() != d.String() || math.Float64bits(g.Eval(env)) != math.Float64bits(d.Eval(env)) {
+				t.Logf("d(%s)/d%s: Gradient %s, DiffSum %s", s, wrt[i], g, d)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}

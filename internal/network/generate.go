@@ -305,6 +305,7 @@ func (g *generator) resolveSite(work *chem.Molecule, r *rdl.ReactionDecl, s rdl.
 // atom index. Branched or multiple sulfur chains are ambiguous.
 func sulfurChain(m *chem.Molecule, lo, hi int) ([]int, error) {
 	inRange := func(i int) bool { return i >= lo && i < hi }
+	adj := m.Adjacency()
 	sNeighbors := make(map[int][]int)
 	var sulfurs []int
 	for i := lo; i < hi; i++ {
@@ -312,7 +313,7 @@ func sulfurChain(m *chem.Molecule, lo, hi int) ([]int, error) {
 			continue
 		}
 		sulfurs = append(sulfurs, i)
-		for _, nb := range m.Neighbors(i) {
+		for _, nb := range adj[i] {
 			if inRange(nb) && m.Atoms[nb].Element == "S" {
 				sNeighbors[i] = append(sNeighbors[i], nb)
 			}

@@ -4,7 +4,8 @@
 # estimator) and the numerical core the sparse Jacobian path touches
 # (solver, linear algebra), repeat the scheduling and fault-injection
 # packages to catch timing-dependent results, give both parser fuzzers a
-# short smoke run, then run the cross-stack conformance matrix
+# short smoke run, check that a traced rmsbench compile writes its
+# compiler-phase spans, then run the cross-stack conformance matrix
 # (docs/testing.md). Run from the repository root; the full serial test
 # suite is `go test ./...`.
 set -eu
@@ -53,6 +54,17 @@ go run ./cmd/rmsbench -batch -variants 64 -evalms 50
 
 echo "== scheduler skew smoke (rmsbench -skew, small model)"
 go run ./cmd/rmsbench -skew -variants 8
+
+echo "== traced sparse smoke (rmsbench -sparse -trace records compiler-phase spans)"
+trace=$(mktemp)
+go run ./cmd/rmsbench -sparse -variants 60 -trace "$trace" >/dev/null
+for span in optimize "jacobian compilation"; do
+	if ! grep -q "\"name\":\"$span\",\"ph\":\"X\"" "$trace"; then
+		echo "rmsbench -sparse -trace: no \"$span\" span in $trace" >&2
+		exit 1
+	fi
+done
+rm -f "$trace"
 
 echo "== conformance matrix (make verify)"
 make verify
