@@ -14,6 +14,8 @@
 //	-dump-dot      print the network as Graphviz DOT to stderr
 //	-dump-odes     print the ODE system (Fig. 5 form) to stderr
 //	-report        print the op-count report to stderr
+//	-trace file    write the compiler-phase spans as a Chrome trace-event
+//	               file; span summary on stderr
 package main
 
 import (
@@ -24,7 +26,16 @@ import (
 
 	"rms/internal/core"
 	"rms/internal/opt"
+	"rms/internal/telemetry"
 )
+
+// compileOpts carries one rmsc invocation's flags and arguments.
+type compileOpts struct {
+	outPath, optLevel, rcipPath, funcName  string
+	dumpNetwork, dumpDOT, dumpODEs, report bool
+	obs                                    telemetry.CLI
+	args                                   []string
+}
 
 func main() {
 	var (
@@ -36,33 +47,39 @@ func main() {
 		dumpDOT     = flag.Bool("dump-dot", false, "print the reaction network as Graphviz DOT to stderr")
 		dumpODEs    = flag.Bool("dump-odes", false, "print the ODE system to stderr")
 		report      = flag.Bool("report", false, "print the op-count report to stderr")
+		trace       = flag.String("trace", "", "write a Chrome trace-event file; summary on stderr")
 	)
 	flag.Parse()
-	if err := run(*outPath, *optLevel, *rcipPath, *funcName, *dumpNetwork, *dumpDOT, *dumpODEs, *report, flag.Args()); err != nil {
+	o := compileOpts{
+		outPath: *outPath, optLevel: *optLevel, rcipPath: *rcipPath, funcName: *funcName,
+		dumpNetwork: *dumpNetwork, dumpDOT: *dumpDOT, dumpODEs: *dumpODEs, report: *report,
+		obs:  telemetry.CLI{TracePath: *trace, Out: os.Stderr},
+		args: flag.Args(),
+	}
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "rmsc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(outPath, optLevel, rcipPath, funcName string,
-	dumpNetwork, dumpDOT, dumpODEs, report bool, args []string) error {
-
+// run compiles one RDL source. The C output goes to o.outPath, or
+// stdout; everything else (dumps, report, span summary) to stderr.
+func run(o compileOpts) (err error) {
 	var src []byte
-	var err error
-	switch len(args) {
+	switch len(o.args) {
 	case 0:
 		src, err = io.ReadAll(os.Stdin)
 	case 1:
-		src, err = os.ReadFile(args[0])
+		src, err = os.ReadFile(o.args[0])
 	default:
-		return fmt.Errorf("expected one source file, got %d", len(args))
+		return fmt.Errorf("expected one source file, got %d", len(o.args))
 	}
 	if err != nil {
 		return err
 	}
 
 	var opts opt.Options
-	switch optLevel {
+	switch o.optLevel {
 	case "none":
 		opts = opt.Options{}
 	case "simplify":
@@ -72,12 +89,22 @@ func run(outPath, optLevel, rcipPath, funcName string,
 	case "full":
 		opts = opt.Full()
 	default:
-		return fmt.Errorf("unknown -opt level %q", optLevel)
+		return fmt.Errorf("unknown -opt level %q", o.optLevel)
 	}
 
-	cfg := core.Config{Optimize: opts, FuncName: funcName}
-	if rcipPath != "" {
-		b, err := os.ReadFile(rcipPath)
+	ins, finish, err := o.obs.Setup()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if ferr := finish(); err == nil {
+			err = ferr
+		}
+	}()
+
+	cfg := core.Config{Optimize: opts, FuncName: o.funcName, Trace: ins.Tracer.Lane("compile")}
+	if o.rcipPath != "" {
+		b, err := os.ReadFile(o.rcipPath)
 		if err != nil {
 			return err
 		}
@@ -89,22 +116,22 @@ func run(outPath, optLevel, rcipPath, funcName string,
 		return err
 	}
 
-	if dumpNetwork {
+	if o.dumpNetwork {
 		fmt.Fprint(os.Stderr, res.Network.Dump())
 	}
-	if dumpDOT {
+	if o.dumpDOT {
 		fmt.Fprint(os.Stderr, res.Network.DOT())
 	}
-	if dumpODEs {
+	if o.dumpODEs {
 		fmt.Fprint(os.Stderr, res.System.String())
 	}
-	if report {
+	if o.report {
 		fmt.Fprintln(os.Stderr, res.Report())
 	}
 
 	out := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
+	if o.outPath != "" {
+		f, err := os.Create(o.outPath)
 		if err != nil {
 			return err
 		}

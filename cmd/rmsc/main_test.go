@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rms/internal/telemetry"
 )
 
 const testModel = `
@@ -23,7 +26,7 @@ func TestRunCompilesToFile(t *testing.T) {
 	if err := os.WriteFile(src, []byte(testModel), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(out, "full", "", "ode_fcn", true, true, true, true, []string{src}); err != nil {
+	if err := run(compileOpts{outPath: out, optLevel: "full", funcName: "ode_fcn", dumpNetwork: true, dumpDOT: true, dumpODEs: true, report: true, args: []string{src}}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := os.ReadFile(out)
@@ -43,11 +46,11 @@ func TestRunOptLevels(t *testing.T) {
 	}
 	for _, level := range []string{"none", "simplify", "paper", "full"} {
 		out := filepath.Join(dir, level+".c")
-		if err := run(out, level, "", "f", false, false, false, false, []string{src}); err != nil {
+		if err := run(compileOpts{outPath: out, optLevel: level, funcName: "f", args: []string{src}}); err != nil {
 			t.Errorf("-opt %s: %v", level, err)
 		}
 	}
-	if err := run("", "bogus", "", "f", false, false, false, false, []string{src}); err == nil {
+	if err := run(compileOpts{optLevel: "bogus", funcName: "f", args: []string{src}}); err == nil {
 		t.Error("unknown opt level accepted")
 	}
 }
@@ -59,27 +62,61 @@ func TestRunWithRCIP(t *testing.T) {
 	out := filepath.Join(dir, "model.c")
 	os.WriteFile(src, []byte(testModel), 0o644)
 	os.WriteFile(rcip, []byte("K_d = 3"), 0o644)
-	if err := run(out, "full", rcip, "f", false, false, false, false, []string{src}); err != nil {
+	if err := run(compileOpts{outPath: out, optLevel: "full", rcipPath: rcip, funcName: "f", args: []string{src}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "full", "", "f", false, false, false, false, []string{"/nonexistent.rdl"}); err == nil {
+	if err := run(compileOpts{optLevel: "full", funcName: "f", args: []string{"/nonexistent.rdl"}}); err == nil {
 		t.Error("missing source accepted")
 	}
-	if err := run("", "full", "", "f", false, false, false, false, []string{"a", "b"}); err == nil {
+	if err := run(compileOpts{optLevel: "full", funcName: "f", args: []string{"a", "b"}}); err == nil {
 		t.Error("two sources accepted")
 	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.rdl")
 	os.WriteFile(bad, []byte("species ="), 0o644)
-	if err := run("", "full", "", "f", false, false, false, false, []string{bad}); err == nil {
+	if err := run(compileOpts{optLevel: "full", funcName: "f", args: []string{bad}}); err == nil {
 		t.Error("bad source accepted")
 	}
 	src := filepath.Join(dir, "ok.rdl")
 	os.WriteFile(src, []byte(testModel), 0o644)
-	if err := run("", "full", "/nonexistent.rcip", "f", false, false, false, false, []string{src}); err == nil {
+	if err := run(compileOpts{optLevel: "full", rcipPath: "/nonexistent.rcip", funcName: "f", args: []string{src}}); err == nil {
 		t.Error("missing rcip accepted")
+	}
+}
+
+// TestRunTraceRecordsCompileSpans checks that -trace writes the
+// compiler-phase spans to the trace file and the span summary to the
+// observability writer, leaving the C output where -o sends it.
+func TestRunTraceRecordsCompileSpans(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "model.rdl")
+	out := filepath.Join(dir, "model.c")
+	trace := filepath.Join(dir, "trace.json")
+	if err := os.WriteFile(src, []byte(testModel), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var summary bytes.Buffer
+	o := compileOpts{outPath: out, optLevel: "full", funcName: "f", args: []string{src},
+		obs: telemetry.CLI{TracePath: trace, Out: &summary, NoSignalDump: true}}
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, span := range []string{"parse", "network generation", "optimize", "emit C"} {
+		if !strings.Contains(string(data), `"name":"`+span+`","ph":"X"`) {
+			t.Errorf("trace has no %q span:\n%s", span, data)
+		}
+		if !strings.Contains(summary.String(), span) {
+			t.Errorf("summary has no %q span:\n%s", span, summary.String())
+		}
+	}
+	if c, err := os.ReadFile(out); err != nil || !strings.Contains(string(c), "void f(") {
+		t.Errorf("C output: %v\n%s", err, c)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Bond is an undirected edge between two atoms with an integer bond order
@@ -47,6 +48,33 @@ func (m *Molecule) Clone() *Molecule {
 	copy(c.Atoms, m.Atoms)
 	copy(c.Bonds, m.Bonds)
 	return c
+}
+
+// AppendGraphKey appends an exact encoding of the labeled graph to buf
+// and returns the extended buffer: the atom count, then each atom's
+// element, hydrogens, charge and class, then each bond's endpoints and
+// order, all in stored order. Element symbols are letters and numbers
+// are signed decimals, so the ',' and ';' separators make the encoding
+// injective: two molecules get equal keys exactly when their atoms and
+// bonds are equal field by field. Canonical depends on nothing else, so
+// it can be memoized by this key.
+func (m *Molecule) AppendGraphKey(buf []byte) []byte {
+	buf = strconv.AppendInt(buf, int64(len(m.Atoms)), 10)
+	buf = append(buf, ';')
+	for _, a := range m.Atoms {
+		buf = append(buf, a.Element...)
+		buf = strconv.AppendInt(append(buf, ','), int64(a.Hs), 10)
+		buf = strconv.AppendInt(append(buf, ','), int64(a.Charge), 10)
+		buf = strconv.AppendInt(append(buf, ','), int64(a.Class), 10)
+		buf = append(buf, ';')
+	}
+	for _, b := range m.Bonds {
+		buf = strconv.AppendInt(buf, int64(b.A), 10)
+		buf = strconv.AppendInt(append(buf, ','), int64(b.B), 10)
+		buf = strconv.AppendInt(append(buf, ','), int64(b.Order), 10)
+		buf = append(buf, ';')
+	}
+	return buf
 }
 
 // bondIndex returns the index of the bond joining atoms i and j, or -1.

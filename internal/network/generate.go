@@ -20,23 +20,36 @@ import (
 // errors in the program (ambiguous sites, colliding declarations) abort
 // generation.
 func Generate(prog *rdl.Program) (*Network, error) {
-	g := &generator{net: New(), mols: make(map[string]*chem.Molecule)}
-	if err := g.declareSpecies(prog); err != nil {
-		return nil, err
-	}
-	if err := g.forbid(prog); err != nil {
-		return nil, err
-	}
-	for _, r := range prog.Reactions {
-		if err := g.expandReaction(prog, r); err != nil {
-			return nil, err
-		}
-	}
-	// Compiler invariant: machine-applied rules must conserve heavy atoms.
-	if err := g.net.CheckMassBalance(); err != nil {
+	g := newGenerator()
+	if err := g.generate(prog); err != nil {
 		return nil, err
 	}
 	return g.net, nil
+}
+
+func newGenerator() *generator {
+	return &generator{
+		net:    New(),
+		mols:   make(map[string]*chem.Molecule),
+		canon:  make(map[string]string),
+		chains: make(map[string][]int),
+	}
+}
+
+func (g *generator) generate(prog *rdl.Program) error {
+	if err := g.declareSpecies(prog); err != nil {
+		return err
+	}
+	if err := g.forbid(prog); err != nil {
+		return err
+	}
+	for _, r := range prog.Reactions {
+		if err := g.expandReaction(prog, r); err != nil {
+			return err
+		}
+	}
+	// Compiler invariant: machine-applied rules must conserve heavy atoms.
+	return g.net.CheckMassBalance()
 }
 
 type generator struct {
@@ -44,6 +57,27 @@ type generator struct {
 	mols      map[string]*chem.Molecule // concrete species name -> structure
 	forbidden map[string]bool           // canonical SMILES
 	instances map[string][]rdl.SpeciesInstance
+
+	// canon memoizes canonical SMILES by exact graph key (AppendGraphKey):
+	// rules fired over many reactant variants and contexts produce the
+	// same fragments over and over. It lives as long as one Generate call.
+	canon  map[string]string
+	keyBuf []byte
+	// chains holds each species instance's sulfur chain, as indices into
+	// its own structure, for sites resolved before any edit.
+	chains map[string][]int
+}
+
+// canonical returns m.Canonical(), computing it once per distinct
+// labeled graph.
+func (g *generator) canonical(m *chem.Molecule) string {
+	g.keyBuf = m.AppendGraphKey(g.keyBuf[:0])
+	if c, ok := g.canon[string(g.keyBuf)]; ok {
+		return c
+	}
+	c := m.Canonical()
+	g.canon[string(g.keyBuf)] = c
+	return c
 }
 
 func (g *generator) declareSpecies(prog *rdl.Program) error {
@@ -58,7 +92,7 @@ func (g *generator) declareSpecies(prog *rdl.Program) error {
 			if err != nil {
 				return fmt.Errorf("species %s: %w", inst.Name, err)
 			}
-			if _, err := g.net.AddSpecies(inst.Name, m.Canonical(), inst.Init); err != nil {
+			if _, err := g.net.AddSpecies(inst.Name, g.canonical(m), inst.Init); err != nil {
 				return err
 			}
 			g.mols[inst.Name] = m
@@ -75,7 +109,7 @@ func (g *generator) forbid(prog *rdl.Program) error {
 		if err != nil {
 			return fmt.Errorf("forbid %q: %w", f, err)
 		}
-		g.forbidden[m.Canonical()] = true
+		g.forbidden[g.canonical(m)] = true
 	}
 	return nil
 }
@@ -184,8 +218,8 @@ func (g *generator) fire(r *rdl.ReactionDecl, combo []rdl.SpeciesInstance, env m
 		}
 		ranges[i] = [2]int{offsets[i], offsets[i] + len(m.Atoms)}
 	}
-	for _, act := range r.Actions {
-		if err := g.apply(work, r, act, ranges, env); err != nil {
+	for i, act := range r.Actions {
+		if err := g.apply(work, r, act, combo, ranges, env, i == 0); err != nil {
 			var skip errSkip
 			if errors.As(err, &skip) {
 				return nil
@@ -196,7 +230,7 @@ func (g *generator) fire(r *rdl.ReactionDecl, combo []rdl.SpeciesInstance, env m
 	// Collect and intern products.
 	var produced []string
 	for _, frag := range work.Fragments() {
-		c := frag.Canonical()
+		c := g.canonical(frag)
 		if g.forbidden[c] {
 			return nil
 		}
@@ -228,15 +262,17 @@ func (g *generator) fire(r *rdl.ReactionDecl, combo []rdl.SpeciesInstance, env m
 	return nil
 }
 
+// apply performs one action on work; pristine reports that no earlier
+// action has edited it.
 func (g *generator) apply(work *chem.Molecule, r *rdl.ReactionDecl, act rdl.Action,
-	ranges [][2]int, env map[string]int) error {
-	a, err := g.resolveSite(work, r, act.A, ranges, env)
+	combo []rdl.SpeciesInstance, ranges [][2]int, env map[string]int, pristine bool) error {
+	a, err := g.resolveSite(work, r, act.A, combo, ranges, env, pristine)
 	if err != nil {
 		return err
 	}
 	var b int
 	if act.Kind != rdl.ActRemoveH && act.Kind != rdl.ActAddH {
-		b, err = g.resolveSite(work, r, act.B, ranges, env)
+		b, err = g.resolveSite(work, r, act.B, combo, ranges, env, pristine)
 		if err != nil {
 			return err
 		}
@@ -265,23 +301,35 @@ func (g *generator) apply(work *chem.Molecule, r *rdl.ReactionDecl, act rdl.Acti
 
 // resolveSite maps a Site to an atom index in the combined molecule.
 // Missing sites skip the instance; ambiguous class labels are programming
-// errors and abort generation.
+// errors and abort generation. While work is pristine, a chain site
+// resolves from the reactant's own chain shifted by its range offset:
+// Clone and Combine keep each reactant's atoms contiguous and
+// disconnected from the others, so the chain is the same.
 func (g *generator) resolveSite(work *chem.Molecule, r *rdl.ReactionDecl, s rdl.Site,
-	ranges [][2]int, env map[string]int) (int, error) {
+	combo []rdl.SpeciesInstance, ranges [][2]int, env map[string]int, pristine bool) (int, error) {
 	lo, hi := ranges[s.Reactant-1][0], ranges[s.Reactant-1][1]
 	if s.ChainIdx != nil {
 		idx, err := s.ChainIdx.Eval(env)
 		if err != nil {
 			return 0, fmt.Errorf("reaction %s: %w", r.Name, err)
 		}
-		chain, err := sulfurChain(work, lo, hi)
-		if err != nil {
-			return 0, fmt.Errorf("reaction %s: %w", r.Name, err)
+		var chain []int
+		off := 0
+		if pristine {
+			chain, off = g.speciesChain(combo[s.Reactant-1].Name), lo
+		}
+		if chain == nil {
+			// Edited, or the reactant has no valid chain: resolve on work,
+			// whose errors name atoms by their combined-graph index.
+			off = 0
+			if chain, err = sulfurChain(work, lo, hi); err != nil {
+				return 0, fmt.Errorf("reaction %s: %w", r.Name, err)
+			}
 		}
 		if idx < 1 || idx > len(chain) {
 			return 0, errSkip{reason: fmt.Sprintf("chain index %d outside 1..%d", idx, len(chain))}
 		}
-		return chain[idx-1], nil
+		return off + chain[idx-1], nil
 	}
 	var found []int
 	for i := lo; i < hi; i++ {
@@ -298,6 +346,22 @@ func (g *generator) resolveSite(work *chem.Molecule, r *rdl.ReactionDecl, s rdl.
 		return 0, fmt.Errorf("reaction %s: class %d is ambiguous (%d atoms) in reactant %d",
 			r.Name, s.Class, len(found), s.Reactant)
 	}
+}
+
+// speciesChain returns the sulfur chain of the named species instance as
+// indices into its own structure, or nil if it has no valid chain. Only
+// valid chains are cached.
+func (g *generator) speciesChain(name string) []int {
+	if c, ok := g.chains[name]; ok {
+		return c
+	}
+	m := g.mols[name]
+	c, err := sulfurChain(m, 0, len(m.Atoms))
+	if err != nil {
+		return nil
+	}
+	g.chains[name] = c
+	return c
 }
 
 // sulfurChain returns the atom indices of the unique maximal chain of

@@ -15,10 +15,12 @@ import (
 // the ones recorded in testdata/golden: species names, structures and
 // order, and every reaction instance. Species identity is the canonical
 // SMILES, so this pins the canonical ranking end to end on the
-// chain-scission program (crosslinks n = 2..60), the quickstart program
-// and every compiling program of the RDL fuzz corpus.
+// chain-scission program (crosslinks n = 2..60), the quickstart program,
+// a two-action sulfur-transfer rule whose second action resolves chain
+// sites after an edit, and every compiling program of the RDL fuzz
+// corpus.
 func TestGenerateGolden(t *testing.T) {
-	for _, name := range []string{"chain_scission", "quickstart"} {
+	for _, name := range []string{"chain_scission", "quickstart", "couple"} {
 		t.Run(name, func(t *testing.T) {
 			src, err := os.ReadFile(filepath.Join("testdata", "golden", name+".rdl"))
 			if err != nil {
@@ -34,6 +36,30 @@ func TestGenerateGolden(t *testing.T) {
 	t.Run("rdl_corpus", func(t *testing.T) {
 		compareGolden(t, "rdl_corpus.golden", rdlCorpusGolden(t))
 	})
+}
+
+// TestGenerateAbortGolden holds the text of generation-aborting chain
+// errors to testdata/golden/abort.golden: a second action addressing a
+// chain the first action split, and a first action addressing a
+// branched chain, whose message names the atom by its index in the
+// combined working graph.
+func TestGenerateAbortGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "abort_*.rdl"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("abort programs: %v (%d files)", err, len(files))
+	}
+	var b strings.Builder
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = generateSource(string(src)); err == nil {
+			t.Fatalf("%s: generation succeeded, want an abort", f)
+		}
+		fmt.Fprintf(&b, "%s: %v\n", filepath.Base(f), err)
+	}
+	compareGolden(t, "abort.golden", b.String())
 }
 
 func generateSource(src string) (*Network, error) {

@@ -184,7 +184,7 @@ func (s *BDF) Integrate(t0, t1 float64, y []float64) error {
 			return errWrap(err, s.tInt)
 		}
 		tStep, hStep, orderStep := s.tInt, s.h, s.order
-		preNewton, preFactor := s.stats.NewtonIters, s.stats.Factorizations
+		pre := s.stats
 		accepted, errNorm, err := s.attemptStep(s.tInt, o)
 		if err != nil {
 			s.initialized = false
@@ -194,8 +194,11 @@ func (s *BDF) Integrate(t0, t1 float64, y []float64) error {
 			o.Observer(StepEvent{
 				T: tStep, H: hStep, Order: orderStep,
 				Accepted: accepted, ErrNorm: errNorm,
-				NewtonIters:    s.stats.NewtonIters - preNewton,
-				Factorizations: s.stats.Factorizations - preFactor,
+				NewtonIters:    s.stats.NewtonIters - pre.NewtonIters,
+				Factorizations: s.stats.Factorizations - pre.Factorizations,
+				JEvals:         s.stats.JEvals - pre.JEvals,
+				FactorOps:      s.stats.FactorOps - pre.FactorOps,
+				SolveOps:       s.stats.SolveOps - pre.SolveOps,
 				Sparse:         s.sparse,
 			})
 		}

@@ -105,9 +105,12 @@ type StepEvent struct {
 	Accepted bool
 	// ErrNorm is the weighted local error estimate (≤ 1 on accepts).
 	ErrNorm float64
-	// NewtonIters and Factorizations count the corrector work of this
-	// attempt (0 for explicit solvers).
-	NewtonIters, Factorizations int
+	// NewtonIters, Factorizations and JEvals count the corrector work of
+	// this attempt (0 for explicit solvers).
+	NewtonIters, Factorizations, JEvals int
+	// FactorOps and SolveOps are the attempt's share of Stats.FactorOps
+	// and Stats.SolveOps.
+	FactorOps, SolveOps float64
 	// Sparse reports the attempt ran the sparse Newton path.
 	Sparse bool
 }

@@ -78,12 +78,17 @@ type SimOpts struct {
 }
 
 // ObserveSolver publishes per-step solver telemetry into reg — the
-// shared wiring behind rmssim and the rmsd job runner.
+// shared wiring behind rmssim and the rmsd job runner. The work counters
+// carry the names the estimator publishes its solver Stats under.
 func ObserveSolver(reg *telemetry.Registry) ode.StepObserver {
 	steps := reg.Counter("ode.steps")
 	rejected := reg.Counter("ode.rejected_steps")
 	newton := reg.Counter("ode.newton_iters")
+	jevals := reg.Counter("ode.jevals")
 	factor := reg.Counter("ode.factorizations")
+	sparseFactor := reg.Counter("ode.sparse_factorizations")
+	factorOps := reg.FloatCounter("ode.factor_ops")
+	solveOps := reg.FloatCounter("ode.solve_ops")
 	h := reg.Histogram("ode.step_size", []float64{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100})
 	order := reg.Gauge("ode.order")
 	return func(ev ode.StepEvent) {
@@ -93,7 +98,13 @@ func ObserveSolver(reg *telemetry.Registry) ode.StepObserver {
 			rejected.Inc()
 		}
 		newton.Add(int64(ev.NewtonIters))
+		jevals.Add(int64(ev.JEvals))
 		factor.Add(int64(ev.Factorizations))
+		if ev.Sparse {
+			sparseFactor.Add(int64(ev.Factorizations))
+		}
+		factorOps.Add(ev.FactorOps)
+		solveOps.Add(ev.SolveOps)
 		h.Observe(math.Abs(ev.H))
 		order.Set(float64(ev.Order))
 	}

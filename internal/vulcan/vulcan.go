@@ -252,12 +252,13 @@ func CrosslinkProperty(sys *eqgen.System) func(y []float64) float64 {
 	}
 }
 
-// RDLSource renders the small-scale vulcanization model as RDL source —
-// the front-end path used by the quickstart and compiler tests. It covers
-// the structural core (accelerator growth, initiation, crosslinking,
-// scission with the ≥3-from-each-end context rule, desulfuration) with
-// explicit molecular structures; variants is capped at 26 to keep the
-// SMILES chains readable.
+// RDLSource returns RDL source declaring the vulcanization species
+// families (Rubber, Accel, Pendant, Crosslink, Seed) with variants clamped
+// to 8..26, one Scission rule with the ≥3-from-each-end context, and
+// forbid "S". It is not a rendering of the full model, and it does not
+// compile: core.CompileRDL rejects it because Accel_1 and Seed share the
+// structure C(C)(=O)S[CH2]. The rdlfmt and fuzz corpora use it as parser
+// input.
 func RDLSource(variants int) string {
 	if variants < 8 {
 		variants = 8

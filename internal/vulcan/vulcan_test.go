@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rms/internal/codegen"
+	"rms/internal/core"
 	"rms/internal/ode"
 	"rms/internal/opt"
 	"rms/internal/rdl"
@@ -213,6 +214,19 @@ func TestRDLSourceParsesAndGenerates(t *testing.T) {
 	if len(prog.Species) < 4 || len(prog.Reactions) < 1 {
 		t.Errorf("RDL program shape: %d species, %d reactions",
 			len(prog.Species), len(prog.Reactions))
+	}
+}
+
+// TestRDLSourceDoesNotCompile pins what RDLSource's doc states: the
+// front end rejects it at every size because Accel_1 and Seed share a
+// structure.
+func TestRDLSourceDoesNotCompile(t *testing.T) {
+	const want = `network: species "Accel_1" and "Seed" share structure "C(C)(=O)S[CH2]"`
+	for _, v := range []int{8, 17, 26} {
+		_, err := core.CompileRDL(RDLSource(v), core.Config{})
+		if err == nil || err.Error() != want {
+			t.Errorf("variants %d: CompileRDL error %v, want %s", v, err, want)
+		}
 	}
 }
 

@@ -4,10 +4,10 @@
 # estimator) and the numerical core the sparse Jacobian path touches
 # (solver, linear algebra), repeat the scheduling and fault-injection
 # packages to catch timing-dependent results, give both parser fuzzers a
-# short smoke run, check that a traced rmsbench compile writes its
-# compiler-phase spans, then run the cross-stack conformance matrix
-# (docs/testing.md). Run from the repository root; the full serial test
-# suite is `go test ./...`.
+# short smoke run, check that a traced rmsbench compile and a traced
+# rmsc compile write their compiler-phase spans, then run the
+# cross-stack conformance matrix (docs/testing.md). Run from the
+# repository root; the full serial test suite is `go test ./...`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,6 +61,17 @@ go run ./cmd/rmsbench -sparse -variants 60 -trace "$trace" >/dev/null
 for span in optimize "jacobian compilation"; do
 	if ! grep -q "\"name\":\"$span\",\"ph\":\"X\"" "$trace"; then
 		echo "rmsbench -sparse -trace: no \"$span\" span in $trace" >&2
+		exit 1
+	fi
+done
+rm -f "$trace"
+
+echo "== traced compile smoke (rmsc -trace records compiler-phase spans)"
+trace=$(mktemp)
+go run ./cmd/rmsc -trace "$trace" internal/network/testdata/golden/chain_scission.rdl >/dev/null
+for span in parse "network generation"; do
+	if ! grep -q "\"name\":\"$span\",\"ph\":\"X\"" "$trace"; then
+		echo "rmsc -trace: no \"$span\" span in $trace" >&2
 		exit 1
 	fi
 done
