@@ -62,16 +62,35 @@ func TestObjectiveBudgetCancelMidCall(t *testing.T) {
 	}
 }
 
+// watchdogMultiple and watchdogFloor size the attempt watchdog of
+// TestHangRecoveredByAttemptWatchdog: a multiple of a fault-free
+// Objective call on the same configuration, never below the floor. A
+// fixed 30 ms alone trips on real attempts on a loaded 2-CPU host; sized
+// from the calibration call, only the injected hang, which parks until
+// the watchdog fires, can reach it.
+const (
+	watchdogMultiple = 50
+	watchdogFloor    = 30 * time.Millisecond
+)
+
 func TestHangRecoveredByAttemptWatchdog(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{20, 20})
+	cfg := Config{Ranks: 2, FaultTolerant: true}
+	cal, err := New(m, files, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := cal.Objective([]float64{1.0}, make([]float64, cal.ResidualDim())); err != nil {
+		t.Fatalf("calibration call: %v", err)
+	}
+	timeout := max(watchdogFloor, watchdogMultiple*time.Since(start))
+
 	plan := faults.NewPlan(7).HangFile(0, 0)
-	e, err := New(m, files, Config{
-		Ranks:         2,
-		FaultTolerant: true,
-		Faults:        plan,
-		Retry:         RetryPolicy{AttemptTimeout: 30 * time.Millisecond},
-	})
+	cfg.Faults = plan
+	cfg.Retry = RetryPolicy{AttemptTimeout: timeout}
+	e, err := New(m, files, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ type BatchBDF struct {
 	n, b int
 	opts BatchOptions
 
-	// Shared integration state; every history entry is n·B SoA.
-	hist   [][]float64
+	// Shared integration state; every history row is n·B SoA.
+	hist   history
 	order  int
 	h      float64
 	streak int
@@ -83,8 +83,10 @@ type BatchBDF struct {
 	f0, f1       []float64
 	scratch      []float64
 
-	// Per-lane lane-local workspaces (length n).
+	// Per-lane lane-local workspaces (length n); laneHist holds one
+	// lane's history rows, gathered for its output interpolation.
 	laneB, laneX, laneY, laneE []float64
+	laneHist                   [maxHist][]float64
 
 	// Per-lane Newton state.
 	settled    []bool // lane's corrector converged this step
@@ -117,6 +119,7 @@ func NewBatchBDF(f BatchFunc, n, b int, opts BatchOptions) *BatchBDF {
 	}
 	s := &BatchBDF{
 		f: f, n: n, b: b, opts: opts,
+		hist:       history{width: n * b},
 		active:     make([]bool, b),
 		laneErr:    make([]error, b),
 		nextOut:    make([]int, b),
@@ -136,6 +139,9 @@ func NewBatchBDF(f BatchFunc, n, b int, opts BatchOptions) *BatchBDF {
 		lu:         make([]*linalg.LU, b),
 		jac:        make([]*linalg.Matrix, b),
 		laneStats:  make([]Stats, b),
+	}
+	for j := range s.laneHist {
+		s.laneHist[j] = make([]float64, n)
 	}
 	s.initSparse()
 	return s
@@ -434,8 +440,7 @@ func (s *BatchBDF) reset(t0 float64, y0 []float64, o Options, dir float64) {
 		s.h = o.MaxStep * dir
 	}
 	s.order = 1
-	s.hist = s.hist[:0]
-	s.hist = append(s.hist, append([]float64(nil), y0...))
+	s.hist.reset(y0)
 	s.tInt = t0
 	s.jacFresh = false
 	s.luH = math.NaN()
@@ -450,18 +455,18 @@ func (s *BatchBDF) reset(t0 float64, y0 []float64, o Options, dir float64) {
 // the active lanes.
 func (s *BatchBDF) attemptStep(t float64, o Options) (bool, float64, error) {
 	q := s.order
-	if q > len(s.hist) {
-		q = len(s.hist)
+	if q > len(s.hist.rows) {
+		q = len(s.hist.rows)
 	}
-	yn := s.hist[0]
+	yn := s.hist.rows[0]
 	tNew := t + s.h
 
-	s.extrapolate(q, 1.0, s.ypred)
+	s.hist.eval(q+1, 1.0, s.ypred)
 	for i := range s.rhsConst {
 		s.rhsConst[i] = 0
 	}
 	for i := 0; i < q; i++ {
-		linalg.Axpy(bdfAlpha[q][i], s.hist[i], s.rhsConst)
+		linalg.Axpy(bdfAlpha[q][i], s.hist.rows[i], s.rhsConst)
 	}
 	hb := s.h * bdfBeta[q]
 
@@ -515,13 +520,7 @@ func (s *BatchBDF) attemptStep(t float64, o Options) (bool, float64, error) {
 	if errNorm > 1 {
 		return false, errNorm, nil
 	}
-	maxHist := 6
-	newHist := make([]float64, nb)
-	copy(newHist, s.ycorr)
-	s.hist = append([][]float64{newHist}, s.hist...)
-	if len(s.hist) > maxHist {
-		s.hist = s.hist[:maxHist]
-	}
+	s.hist.push(s.ycorr)
 	return true, errNorm, nil
 }
 
@@ -634,7 +633,7 @@ func (s *BatchBDF) needFactor(hb float64) bool {
 // evaluations on the forward-difference path — never n+1 evaluations per
 // lane.
 func (s *BatchBDF) buildJacobians(t float64) error {
-	y := s.hist[0]
+	y := s.hist.rows[0]
 	n, b := s.n, s.b
 	if s.sparse {
 		s.opts.BatchJacobian(t, y, s.active, s.jacCSR)
@@ -788,7 +787,7 @@ func (s *BatchBDF) solveLane(l int, dst, b []float64) error {
 
 // adaptOrderAndStep is BDF.adaptOrderAndStep over the shared state.
 func (s *BatchBDF) adaptOrderAndStep(errNorm float64, o Options) {
-	if s.order < 5 && s.streak > s.order+1 && len(s.hist) > s.order {
+	if s.order < 5 && s.streak > s.order+1 && len(s.hist.rows) > s.order {
 		s.order++
 		s.streak = 0
 	}
@@ -811,84 +810,23 @@ func (s *BatchBDF) adaptOrderAndStep(errNorm float64, o Options) {
 // pair treated as one scalar history, so each lane's arithmetic is
 // exactly the serial solver's.
 func (s *BatchBDF) rescaleHistory(ratio float64) {
-	m := len(s.hist)
-	if m <= 1 || ratio == 1 {
-		return
-	}
-	nb := s.n * s.b
-	old := s.hist
-	s.hist = make([][]float64, m)
-	s.hist[0] = old[0]
-	for i := 1; i < m; i++ {
-		s.hist[i] = make([]float64, nb)
-	}
-	work := make([]float64, m)
-	for c := 0; c < nb; c++ {
-		for i := 1; i < m; i++ {
-			x := -float64(i) * ratio
-			for j := 0; j < m; j++ {
-				work[j] = old[j][c]
-			}
-			for level := 1; level < m; level++ {
-				for j := 0; j < m-level; j++ {
-					xj := -float64(j)
-					xjl := -float64(j + level)
-					work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-				}
-			}
-			s.hist[i][c] = work[0]
-		}
-	}
-	s.luH = math.NaN()
-}
-
-// extrapolate evaluates the degree-q history polynomial at x for every
-// (component, lane) pair into dst (n·B SoA).
-func (s *BatchBDF) extrapolate(q int, x float64, dst []float64) {
-	m := q + 1
-	if m > len(s.hist) {
-		m = len(s.hist)
-	}
-	work := make([]float64, m)
-	nb := s.n * s.b
-	for c := 0; c < nb; c++ {
-		for j := 0; j < m; j++ {
-			work[j] = s.hist[j][c]
-		}
-		for level := 1; level < m; level++ {
-			for j := 0; j < m-level; j++ {
-				xj := -float64(j)
-				xjl := -float64(j + level)
-				work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-			}
-		}
-		dst[c] = work[0]
+	if s.hist.rescale(ratio) {
+		s.luH = math.NaN()
 	}
 }
 
 // extrapolateLane evaluates the degree-q history polynomial at x for one
 // lane into dst (length n) — the per-lane output interpolation, with the
-// serial solver's clamp of q against the stored history.
+// serial solver's clamp of q against the stored history. The lane's
+// strided history is gathered into contiguous rows first, so the one
+// kernel serves every caller.
 func (s *BatchBDF) extrapolateLane(q int, x float64, lane int, dst []float64) {
-	m := q + 1
-	if m > len(s.hist) {
-		m = len(s.hist)
+	m := min(q+1, len(s.hist.rows))
+	rows := s.laneHist[:m]
+	for j, row := range rows {
+		s.gatherLane(s.hist.rows[j], lane, row)
 	}
-	work := make([]float64, m)
-	b := s.b
-	for c := 0; c < s.n; c++ {
-		for j := 0; j < m; j++ {
-			work[j] = s.hist[j][c*b+lane]
-		}
-		for level := 1; level < m; level++ {
-			for j := 0; j < m-level; j++ {
-				xj := -float64(j)
-				xjl := -float64(j + level)
-				work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-			}
-		}
-		dst[c] = work[0]
-	}
+	evalHistory(dst, rows, x)
 }
 
 // gatherLane copies lane's column of the SoA array src into dst (length n).

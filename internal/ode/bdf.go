@@ -32,7 +32,7 @@ type BDF struct {
 	stats Stats
 
 	// integration state
-	hist  [][]float64 // hist[i] = y at t - i*h
+	hist  history // hist.rows[i] = y at t - i*h
 	order int
 	h     float64
 
@@ -85,6 +85,7 @@ const sparseFailLimit = 3
 func NewBDF(f Func, n int, opts Options) *BDF {
 	return &BDF{
 		f: f, n: n, opts: opts,
+		hist:     history{width: n},
 		f0:       make([]float64, n),
 		f1:       make([]float64, n),
 		ypred:    make([]float64, n),
@@ -179,7 +180,7 @@ func (s *BDF) Integrate(t0, t1 float64, y []float64) error {
 		if err := o.Budget.Check(); err != nil {
 			// Cooperative cancellation: leave y at the last accepted state
 			// so the caller holds a well-formed partial trajectory.
-			copy(y, s.hist[0])
+			copy(y, s.hist.rows[0])
 			s.initialized = false
 			return errWrap(err, s.tInt)
 		}
@@ -227,11 +228,7 @@ func (s *BDF) Integrate(t0, t1 float64, y []float64) error {
 	// history point; the last step brackets t1, so x stays within the
 	// stored history).
 	x := (t1 - s.tInt) / s.h
-	q := s.order
-	if q+1 > len(s.hist) {
-		q = len(s.hist) - 1
-	}
-	s.extrapolate(q, x, y)
+	s.hist.eval(s.order+1, x, y)
 	s.initialized = true
 	s.tCur = t1
 	s.yOut = append(s.yOut[:0], y...)
@@ -245,8 +242,7 @@ func (s *BDF) reset(t0 float64, y []float64, o Options, dir float64) {
 		s.h = o.MaxStep * dir
 	}
 	s.order = 1
-	s.hist = s.hist[:0]
-	s.hist = append(s.hist, append([]float64(nil), y...))
+	s.hist.reset(y)
 	s.tInt = t0
 	s.jacFresh = false
 	s.lu = nil
@@ -258,7 +254,7 @@ func (s *BDF) reset(t0 float64, y []float64, o Options, dir float64) {
 // canContinue reports whether this call resumes exactly where the last
 // one ended, so the accumulated history remains valid.
 func (s *BDF) canContinue(t0, t1 float64, y []float64, dir float64) bool {
-	if !s.initialized || len(s.hist) == 0 {
+	if !s.initialized || len(s.hist.rows) == 0 {
 		return false
 	}
 	if t0 != s.tCur {
@@ -291,7 +287,7 @@ func (s *BDF) integrateFixed(t0, t1, dir float64, o Options, y []float64) error 
 				return errWrap(err, t)
 			}
 			t += s.h
-			s.hist = append([][]float64{append([]float64(nil), ys...)}, s.hist...)
+			s.hist.push(ys)
 		}
 		s.order = o.FixedOrder
 	}
@@ -300,11 +296,11 @@ func (s *BDF) integrateFixed(t0, t1, dir float64, o Options, y []float64) error 
 			return errWrap(ErrTooManySteps, t)
 		}
 		if err := o.Budget.Check(); err != nil {
-			copy(y, s.hist[0])
+			copy(y, s.hist.rows[0])
 			return errWrap(err, t)
 		}
 		if reached(t, t1, dir) {
-			copy(y, s.hist[0])
+			copy(y, s.hist.rows[0])
 			return nil
 		}
 		if (t+s.h-t1)*dir > 0 {
@@ -329,22 +325,22 @@ func (s *BDF) integrateFixed(t0, t1, dir float64, o Options, y []float64) error 
 // the history. It returns (accepted, errNorm).
 func (s *BDF) attemptStep(t float64, o Options) (bool, float64, error) {
 	q := s.order
-	if q > len(s.hist) {
-		q = len(s.hist)
+	if q > len(s.hist.rows) {
+		q = len(s.hist.rows)
 	}
-	yn := s.hist[0]
+	yn := s.hist.rows[0]
 	tNew := t + s.h
 
 	// Predictor: extrapolate the interpolating polynomial through the
 	// history to the new time (x measured in steps: hist[i] at -i, target +1).
-	s.extrapolate(q, 1.0, s.ypred)
+	s.hist.eval(q+1, 1.0, s.ypred)
 
 	// Constant part of the corrector equation.
 	for i := range s.rhsConst {
 		s.rhsConst[i] = 0
 	}
 	for i := 0; i < q; i++ {
-		linalg.Axpy(bdfAlpha[q][i], s.hist[i], s.rhsConst)
+		linalg.Axpy(bdfAlpha[q][i], s.hist.rows[i], s.rhsConst)
 	}
 	hb := s.h * bdfBeta[q]
 
@@ -375,13 +371,7 @@ func (s *BDF) attemptStep(t float64, o Options) (bool, float64, error) {
 		return false, errNorm, nil
 	}
 	// Accept: shift history.
-	maxHist := 6
-	newHist := make([]float64, s.n)
-	copy(newHist, s.ycorr)
-	s.hist = append([][]float64{newHist}, s.hist...)
-	if len(s.hist) > maxHist {
-		s.hist = s.hist[:maxHist]
-	}
+	s.hist.push(s.ycorr)
 	return true, errNorm, nil
 }
 
@@ -457,7 +447,7 @@ func (s *BDF) solveNewton(dst, b []float64) error {
 // sparse path, analytically when the caller supplied a dense Jacobian, by
 // forward differences otherwise.
 func (s *BDF) buildJacobian(t float64) error {
-	y := s.hist[0]
+	y := s.hist.rows[0]
 	if s.sparse {
 		s.opts.SparseJacobian(t, y, s.jacCSR)
 		s.jacFresh = true
@@ -561,10 +551,10 @@ func (s *BDF) factor(hb float64) error {
 // successes and rescales the step from the error estimate.
 func (s *BDF) adaptOrderAndStep(errNorm float64, o Options) {
 	if o.FixedOrder > 0 {
-		if s.order < o.FixedOrder && len(s.hist) > s.order {
+		if s.order < o.FixedOrder && len(s.hist.rows) > s.order {
 			s.order++
 		}
-	} else if s.order < 5 && s.streak > s.order+1 && len(s.hist) > s.order {
+	} else if s.order < 5 && s.streak > s.order+1 && len(s.hist.rows) > s.order {
 		s.order++
 		s.streak = 0
 	}
@@ -589,59 +579,8 @@ func (s *BDF) adaptOrderAndStep(errNorm float64, o Options) {
 // rescaleHistory re-samples the stored history polynomial onto a grid
 // with spacing ratio·h, keeping the current point fixed.
 func (s *BDF) rescaleHistory(ratio float64) {
-	m := len(s.hist)
-	if m <= 1 || ratio == 1 {
-		return
-	}
-	old := s.hist
-	s.hist = make([][]float64, m)
-	s.hist[0] = old[0]
-	for i := 1; i < m; i++ {
-		v := make([]float64, s.n)
-		s.hist[i] = v
-	}
-	// Neville interpolation per component: old[j] at x = -j, new grid at
-	// x = -i*ratio.
-	work := make([]float64, m)
-	for c := 0; c < s.n; c++ {
-		for i := 1; i < m; i++ {
-			x := -float64(i) * ratio
-			for j := 0; j < m; j++ {
-				work[j] = old[j][c]
-			}
-			for level := 1; level < m; level++ {
-				for j := 0; j < m-level; j++ {
-					xj := -float64(j)
-					xjl := -float64(j + level)
-					work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-				}
-			}
-			s.hist[i][c] = work[0]
-		}
-	}
-	s.luH = math.NaN()
-}
-
-// extrapolate evaluates the degree-(q) history polynomial at x (in units
-// of h ahead of the newest point) into dst.
-func (s *BDF) extrapolate(q int, x float64, dst []float64) {
-	m := q + 1
-	if m > len(s.hist) {
-		m = len(s.hist)
-	}
-	work := make([]float64, m)
-	for c := 0; c < s.n; c++ {
-		for j := 0; j < m; j++ {
-			work[j] = s.hist[j][c]
-		}
-		for level := 1; level < m; level++ {
-			for j := 0; j < m-level; j++ {
-				xj := -float64(j)
-				xjl := -float64(j + level)
-				work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-			}
-		}
-		dst[c] = work[0]
+	if s.hist.rescale(ratio) {
+		s.luH = math.NaN()
 	}
 }
 

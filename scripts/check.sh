@@ -4,7 +4,8 @@
 # estimator) and the numerical core the sparse Jacobian path touches
 # (solver, linear algebra), repeat the scheduling and fault-injection
 # packages to catch timing-dependent results, give both parser fuzzers a
-# short smoke run, check that a traced rmsbench compile and a traced
+# short smoke run, run the history-kernel benchmark once so it keeps
+# compiling, check that a traced rmsbench compile and a traced
 # rmsc compile write their compiler-phase spans, then run the
 # cross-stack conformance matrix (docs/testing.md). Run from the
 # repository root; the full serial test suite is `go test ./...`.
@@ -51,6 +52,9 @@ go test -fuzz=FuzzParseSMILES -fuzztime=10s ./internal/chem
 
 echo "== batched-eval smoke (rmsbench -batch, small system)"
 go run ./cmd/rmsbench -batch -variants 64 -evalms 50
+
+echo "== history-kernel benchmark smoke (BenchmarkHistory, one iteration)"
+go test -run '^$' -bench History -benchtime 1x ./internal/ode
 
 echo "== scheduler skew smoke (rmsbench -skew, small model)"
 go run ./cmd/rmsbench -skew -variants 8
